@@ -16,7 +16,6 @@ space, so boundary inclusivity never depends on floating-point luck.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,19 +81,6 @@ class Region9(Enum):
     CR = "CR"
 
 
-REGION_ORDER: tuple[Region9, ...] = (
-    Region9.NR,
-    Region9.SR,
-    Region9.ER,
-    Region9.WR,
-    Region9.NER,
-    Region9.NWR,
-    Region9.SER,
-    Region9.SWR,
-    Region9.CR,
-)
-
-
 class TopoWall(Enum):
     """Whether an object's footprint reaches the room walls."""
 
@@ -111,9 +97,6 @@ class Band(Enum):
     CLOSE = "close"
     MEDIUM = "medium"
     FAR = "far"
-
-
-_BAND_RANK = {Band.CLOSE: 0, Band.MEDIUM: 1, Band.FAR: 2}
 
 
 @dataclass(frozen=True)
@@ -334,11 +317,6 @@ def distance_band_between_cells(a: GridCell, b: GridCell, s: int, scheme: Distan
     return DistanceBand(scheme, band)
 
 
-def band_rank(band: Band) -> int:
-    """Close < medium < far; used by monotonicity checks."""
-    return _BAND_RANK[band]
-
-
 def cell_center(c: GridCell, s: int, w: float) -> PointPos:
     return PointPos((c.col + 0.5) * w / s, (c.row + 0.5) * w / s)
 
@@ -348,61 +326,6 @@ def cell_of_point(p: PointPos, s: int, w: float) -> GridCell:
     col = min(int(p.x * s / w), s - 1)
     row = min(int(p.y * s / w), s - 1)
     return GridCell(col, row)
-
-
-# ---------------------------------------------------------------------------
-# view frames
-
-#: Default surface labels per view.  The north-facing frame renames the
-#: vocabulary for an observer at the southern wall looking inwards; it never
-#: changes which relation holds.  Kept as data so alternative phrasings can
-#: be supplied through the text-generation lexicon.
-DEFAULT_VIEW_LABELS: dict[ViewFrame, dict[Direction9, str]] = {
-    ViewFrame.TOP_DOWN: {
-        Direction9.N: "north",
-        Direction9.S: "south",
-        Direction9.E: "east",
-        Direction9.W: "west",
-        Direction9.NE: "north-east",
-        Direction9.NW: "north-west",
-        Direction9.SE: "south-east",
-        Direction9.SW: "south-west",
-        Direction9.O: "overlap",
-    },
-    ViewFrame.NORTH_FACING: {
-        Direction9.N: "behind",
-        Direction9.S: "in front of",
-        Direction9.E: "to the right of",
-        Direction9.W: "to the left of",
-        Direction9.NE: "behind and to the right of",
-        Direction9.NW: "behind and to the left of",
-        Direction9.SE: "in front of and to the right of",
-        Direction9.SW: "in front of and to the left of",
-        Direction9.O: "overlapping",
-    },
-}
-
-
-def relabel_for_view(
-    r: Direction9,
-    view: ViewFrame,
-    table: dict[ViewFrame, dict[Direction9, str]] | None = None,
-) -> str:
-    """Surface label of a direction under a view frame."""
-    labels = (table or DEFAULT_VIEW_LABELS)[view]
-    return labels[r]
-
-
-def direction_from_label(
-    label: str,
-    view: ViewFrame,
-    table: dict[ViewFrame, dict[Direction9, str]] | None = None,
-) -> Direction9:
-    labels = (table or DEFAULT_VIEW_LABELS)[view]
-    for d, phrase in labels.items():
-        if phrase == label:
-            return d
-    raise KeyError(f"unknown {view.value} direction label: {label!r}")
 
 
 # ---------------------------------------------------------------------------

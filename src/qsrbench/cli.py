@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ti = sub.add_parser("tightness", help="print constraint tightness for a grid size")
     ti.add_argument("--d", type=int, required=True)
-    ti.add_argument("--w", type=float, default=12.0)
 
     return parser
 
@@ -244,7 +243,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_tightness(args) -> int:
     print(f"{'constraint':>10s} {'analytic':>10s} {'empirical':>10s} {'abs error':>10s}")
-    for report in tightness_table(args.d, args.w):
+    for report in tightness_table(args.d):
         print(
             f"{report.kind:>10s} {float(report.analytic):10.4f} "
             f"{float(report.empirical):10.4f} {report.abs_error:10.4f}"

@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .calculus import (
@@ -343,11 +343,3 @@ def generate_dataset(
             build.unsat_base_count += 1
     return build
 
-
-def build_dataset(
-    master_seed: int,
-    count: int,
-    config: GenConfig,
-    room_types: tuple[str, ...] = ROOM_TYPES,
-) -> list[BenchmarkInstance]:
-    return generate_dataset(master_seed, count, config, room_types).instances

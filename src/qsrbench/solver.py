@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import (
-    Band,
+    _SIGNS_TO_DIRECTION,
     DIRECTION_ORDER,
     Direction9,
     DistanceBand,
@@ -35,7 +35,9 @@ from .calculus import (
     TopoWall,
     direction_holds_for_cells,
     distance_band_between_cells,
+    distance_bands_for,
     region_holds_for_cell,
+    relation_from_token,
     relation_token,
     topo_holds_for_cell,
 )
@@ -58,13 +60,6 @@ class SolveStats:
     nodes: int = 0        # tentative assignments tried
     backtracks: int = 0   # tentative assignments retracted
     elapsed: float = 0.0  # wall-clock seconds around the search only
-
-    def merged(self, other: "SolveStats") -> "SolveStats":
-        return SolveStats(
-            nodes=self.nodes + other.nodes,
-            backtracks=self.backtracks + other.backtracks,
-            elapsed=self.elapsed + other.elapsed,
-        )
 
 
 @dataclass
@@ -100,14 +95,12 @@ class InstanceTooLarge(Exception):
 # predicate evaluation on single cells / cell pairs
 
 
-def check_binary(
-    rel: Relation, cell_a: GridCell, cell_b: GridCell, s: int, w: float = 12.0
-) -> bool:
-    """Does ``(cell_a, rel, cell_b)`` hold on an s-by-s grid of width ``w``?
+def check_binary(rel: Relation, cell_a: GridCell, cell_b: GridCell, s: int) -> bool:
+    """Does ``(cell_a, rel, cell_b)`` hold on an s-by-s grid?
 
-    Distance bands compare cell centres ((i + ½)·w/s) against thresholds
-    that are themselves proportional to ``w``, so the verdict is independent
-    of ``w``; the parameter is accepted for interface completeness.
+    Evaluated cell by cell through the calculus; this is the reference the
+    grid tables of :func:`_partner_columns` are tested against.  Distance
+    bands scale with the room width, so no width enters the verdict.
     """
     if isinstance(rel, Direction9):
         return direction_holds_for_cells(rel, cell_a, cell_b)
@@ -143,20 +136,49 @@ def _unary_mask(rel: Relation, s: int) -> int:
     return mask
 
 
+#: Distance bands as exact integer comparisons on the squared index distance
+#: ``q``: the band at position k of :func:`distance_bands_for` holds where
+#: ``scale * q`` exceeds exactly k of the ``cut * s * s``, so a pair on a
+#: cut-off lands in the closer band.
+_BAND_CUTS: dict[DistanceScheme, tuple[int, tuple[int, ...]]] = {
+    DistanceScheme.D2: (4, (1,)),
+    DistanceScheme.D3: (9, (2, 8)),
+}
+
+
+def _offset_table(rel: Relation, s: int) -> np.ndarray:
+    """``table[s - 1 + dy, s - 1 + dx]``: does ``(ca, rel, cb)`` hold when
+    ``ca`` lies ``dx`` columns east and ``dy`` rows north of ``cb``?"""
+    off = np.arange(1 - s, s)
+    if isinstance(rel, Direction9):
+        sx, sy = next(signs for signs, d in _SIGNS_TO_DIRECTION.items() if d is rel)
+        return (np.sign(off)[:, None] == sy) & (np.sign(off)[None, :] == sx)
+    if isinstance(rel, DistanceBand):
+        scale, cuts = _BAND_CUTS[rel.scheme]
+        q = scale * (off[:, None] ** 2 + off[None, :] ** 2)
+        rank = sum(q > cut * s * s for cut in cuts)
+        return rank == distance_bands_for(rel.scheme).index(rel)
+    raise TypeError(f"not a binary relation: {rel!r}")
+
+
+def _partner_columns(rel: Relation, s: int):
+    """Per reference cell ``cb`` in index order, the s-by-s boolean grid
+    (``[row, col]``) of the cells ``ca`` for which ``(ca, rel, cb)`` holds."""
+    table = _offset_table(rel, s)
+    for cb in range(s * s):
+        row, col = divmod(cb, s)
+        yield table[s - 1 - row : 2 * s - 1 - row, s - 1 - col : 2 * s - 1 - col]
+
+
 def _partner_masks(rel: Relation, s: int) -> list[int]:
     """``masks[cb]`` = cells ``ca`` such that ``(ca, rel, cb)`` holds."""
     key = (relation_token(rel), s)
     masks = _binary_mask_cache.get(key)
     if masks is None:
-        d = s * s
-        cells = [GridCell(i % s, i // s) for i in range(d)]
-        masks = [0] * d
-        for cb in range(d):
-            m = 0
-            for ca in range(d):
-                if check_binary(rel, cells[ca], cells[cb], s):
-                    m |= 1 << ca
-            masks[cb] = m
+        masks = [
+            int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+            for column in _partner_columns(rel, s)
+        ]
         _binary_mask_cache[key] = masks
     return masks
 
@@ -476,94 +498,30 @@ def analytic_tightness(kind: str, d: int) -> Fraction | float:
     raise ValueError(f"unknown relation kind: {kind!r}")
 
 
-def empirical_tightness(kind: str, d: int, w: float = 12.0) -> Fraction:
-    """Exhaustively counted fraction of disallowed cells / cell pairs."""
+def empirical_tightness(kind: str, d: int) -> Fraction:
+    """Exhaustively counted fraction of disallowed cells / cell pairs.
+
+    Counts the solver's own grid tables: unary kinds from the cell masks,
+    binary kinds column by column from the partner grids.
+    """
     s = math.isqrt(d)
     if s * s != d or s % 3 != 0:
         raise ValueError("d must be a square with side divisible by 3")
     if d > 20736:
         raise InstanceTooLarge("empirical tightness guard: d too large")
-
     if kind == "InR":
         return Fraction(0)
-    if kind in {r.value for r in Region9}:
-        rel: Relation = Region9(kind)
-        disallowed = sum(
-            1 for i in range(d) if not check_unary(rel, GridCell(i % s, i // s), s)
-        )
-        return Fraction(disallowed, d)
-    if kind in ("TPP", "NTPP"):
-        rel = TopoWall(kind)
-        disallowed = sum(
-            1 for i in range(d) if not check_unary(rel, GridCell(i % s, i // s), s)
-        )
-        return Fraction(disallowed, d)
-
-    # binary kinds: enumerate all d^2 (cell, cell) pairs with numpy
-    cols = np.arange(d) % s
-    rows = np.arange(d) // s
-    allowed = 0
-    if kind in {dd.value for dd in Direction9}:
-        direction = Direction9(kind)
-        want_sx, want_sy = _direction_signs(direction)
-        for cb in range(d):
-            sx = np.sign(cols - cols[cb])
-            sy = np.sign(rows - rows[cb])
-            allowed += int(np.count_nonzero((sx == want_sx) & (sy == want_sy)))
-    else:
-        band = None
-        for scheme in DistanceScheme:
-            for candidate in ("close", "medium", "far"):
-                if kind == f"{candidate}:{scheme.value}":
-                    band = DistanceBand(scheme, Band(candidate))
-        if band is None:
-            raise ValueError(f"unknown relation kind: {kind!r}")
-        lo_sq, hi_sq = _band_bounds_index_sq(band, s)
-        # exact float comparisons: integer squared distances against bounds
-        # whose denominators are 1 or a power of two
-        lo = None if lo_sq is None else float(lo_sq)
-        hi = None if hi_sq is None else float(hi_sq)
-        for cb in range(d):
-            dist_sq = (cols - cols[cb]) ** 2 + (rows - rows[cb]) ** 2
-            ok = dist_sq <= hi if hi is not None else np.ones(d, dtype=bool)
-            if lo is not None:
-                ok &= dist_sq > lo
-            allowed += int(np.count_nonzero(ok))
+    rel = relation_from_token(kind)
+    if isinstance(rel, (Region9, TopoWall)):
+        return Fraction(d - _unary_mask(rel, s).bit_count(), d)
+    allowed = sum(int(np.count_nonzero(column)) for column in _partner_columns(rel, s))
     return Fraction(d * d - allowed, d * d)
 
 
-def _direction_signs(direction: Direction9) -> tuple[int, int]:
-    return {
-        Direction9.N: (0, 1),
-        Direction9.S: (0, -1),
-        Direction9.E: (1, 0),
-        Direction9.W: (-1, 0),
-        Direction9.NE: (1, 1),
-        Direction9.NW: (-1, 1),
-        Direction9.SE: (1, -1),
-        Direction9.SW: (-1, -1),
-        Direction9.O: (0, 0),
-    }[direction]
-
-
-def _band_bounds_index_sq(band: DistanceBand, s: int) -> tuple[Fraction | None, Fraction | None]:
-    """(exclusive lower, inclusive upper) squared index-distance bounds."""
-    if band.scheme is DistanceScheme.D2:
-        close_sq = Fraction(s * s, 4)
-        return (None, close_sq) if band.band is Band.CLOSE else (close_sq, None)
-    close_sq = Fraction(2 * s * s, 9)
-    med_sq = Fraction(8 * s * s, 9)
-    if band.band is Band.CLOSE:
-        return (None, close_sq)
-    if band.band is Band.MEDIUM:
-        return (close_sq, med_sq)
-    return (med_sq, None)
-
-
-def tightness_table(d: int, w: float = 12.0) -> list[TightnessReport]:
+def tightness_table(d: int) -> list[TightnessReport]:
     reports = []
     for kind in TIGHTNESS_KINDS:
         analytic = analytic_tightness(kind, d)
-        empirical = empirical_tightness(kind, d, w)
+        empirical = empirical_tightness(kind, d)
         reports.append(TightnessReport(kind, d, float(analytic), float(empirical)))
     return reports

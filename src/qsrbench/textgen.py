@@ -25,7 +25,6 @@ from .calculus import (
     TopoWall,
     ViewFrame,
     relation_from_token,
-    relation_token,
 )
 from .network import Binary, ConstraintNetwork, Unary
 
@@ -47,7 +46,6 @@ class Lexicon:
     distances: dict[DistanceBand, str]
     topology: dict[TopoWall, str]
     templates: dict[str, str]
-    synonyms: dict[str, list[str]]
 
     def validate(self) -> None:
         """Reject tables whose phrase-to-relation inversion is ambiguous."""
@@ -99,7 +97,6 @@ def load_lexicon(path: str | Path | None = None) -> Lexicon:
         distances={relation_from_token(k): v for k, v in raw["distances"].items()},
         topology={TopoWall(k): v for k, v in raw["topology"].items()},
         templates=dict(raw["templates"]),
-        synonyms={k: list(v) for k, v in raw.get("synonyms", {}).items()},
     )
     lex.validate()
     return lex

@@ -8,11 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qsrbench.calculus import (
-    DEFAULT_VIEW_LABELS,
     DIRECTION_ORDER,
     Band,
     Direction9,
-    DistanceBand,
     DistanceScheme,
     GridCell,
     PointPos,
@@ -23,7 +21,6 @@ from qsrbench.calculus import (
     cell_of_point,
     direction_between,
     direction_between_cells,
-    direction_from_label,
     direction_holds_for_cells,
     distance_band,
     distance_band_between_cells,
@@ -31,12 +28,12 @@ from qsrbench.calculus import (
     inverse_direction,
     region_of,
     region_of_cell,
-    relabel_for_view,
     relation_from_token,
     relation_token,
     wall_topology,
     wall_topology_cell,
 )
+from qsrbench.textgen import default_lexicon
 
 # --- directions --------------------------------------------------------------
 
@@ -257,17 +254,19 @@ def test_cell_of_point_origin_is_southwest():
 
 
 def test_view_labels_round_trip():
+    lex = default_lexicon()
     for view in ViewFrame:
         for d in Direction9:
-            label = relabel_for_view(d, view)
-            assert direction_from_label(label, view) is d
+            label = lex.direction_phrase(d, view)
+            assert lex.direction_from_phrase(label, view) is d
 
 
 def test_view_relabeling_touches_surface_only():
-    assert relabel_for_view(Direction9.N, ViewFrame.TOP_DOWN) == "north"
-    assert relabel_for_view(Direction9.N, ViewFrame.NORTH_FACING) == "behind"
-    assert relabel_for_view(Direction9.W, ViewFrame.NORTH_FACING) == "to the left of"
-    labels = DEFAULT_VIEW_LABELS[ViewFrame.NORTH_FACING]
+    lex = default_lexicon()
+    assert lex.direction_phrase(Direction9.N, ViewFrame.TOP_DOWN) == "north"
+    assert lex.direction_phrase(Direction9.N, ViewFrame.NORTH_FACING) == "behind"
+    assert lex.direction_phrase(Direction9.W, ViewFrame.NORTH_FACING) == "to the left of"
+    labels = lex.directions[ViewFrame.NORTH_FACING]
     assert len(set(labels.values())) == 9
 
 

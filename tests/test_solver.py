@@ -16,12 +16,16 @@ from qsrbench.calculus import (
     GridCell,
     Region9,
     TopoWall,
+    distance_bands_for,
+    relation_token,
 )
 from qsrbench.network import Binary, ConstraintNetwork, Unary
 from qsrbench.solver import (
     CountClass,
     InstanceTooLarge,
     Verdict,
+    _partner_masks,
+    _unary_mask,
     brute_force_solve,
     check_binary,
     check_unary,
@@ -50,8 +54,7 @@ def test_check_binary_direction():
 
 def test_check_binary_distance_is_w_independent():
     close = DistanceBand(DistanceScheme.D2, Band.CLOSE)
-    assert check_binary(close, GridCell(0, 0), GridCell(5, 0), 12, w=12.0)
-    assert check_binary(close, GridCell(0, 0), GridCell(5, 0), 12, w=40.0)
+    assert check_binary(close, GridCell(0, 0), GridCell(5, 0), 12)
     assert check_binary(close, GridCell(0, 0), GridCell(6, 0), 12)  # boundary inclusive
     assert not check_binary(close, GridCell(0, 0), GridCell(7, 0), 12)
 
@@ -61,6 +64,32 @@ def test_check_unary():
     assert not check_unary(Region9.CR, GridCell(0, 4), 9)
     assert check_unary(TopoWall.TPP, GridCell(0, 4), 9)
     assert check_unary(TopoWall.NTPP, GridCell(4, 4), 9)
+
+
+# --- grid tables against the per-cell reference -----------------------------------
+
+BINARY_RELATIONS = list(Direction9) + [
+    band for scheme in DistanceScheme for band in distance_bands_for(scheme)
+]
+
+
+@pytest.mark.parametrize("s", [3, 6, 9, 12])
+@pytest.mark.parametrize("rel", BINARY_RELATIONS, ids=relation_token)
+def test_partner_masks_match_check_binary(rel, s):
+    cells = [GridCell(i % s, i // s) for i in range(s * s)]
+    expected = [
+        sum(1 << a for a, ca in enumerate(cells) if check_binary(rel, ca, cb, s))
+        for cb in cells
+    ]
+    assert _partner_masks(rel, s) == expected
+
+
+@pytest.mark.parametrize("s", [3, 6, 9, 12])
+def test_unary_mask_matches_check_unary(s):
+    for rel in list(Region9) + list(TopoWall):
+        mask = _unary_mask(rel, s)
+        for i in range(s * s):
+            assert bool(mask >> i & 1) == check_unary(rel, GridCell(i % s, i // s), s)
 
 
 # --- unary propagation ----------------------------------------------------------
