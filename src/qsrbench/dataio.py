@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .calculus import ViewFrame, relation_from_token, relation_token
+from .calculus import Direction9, ViewFrame, relation_from_token, relation_token
 from .netgen import BenchmarkInstance, GenConfig, QType, QuerySpec, Setting
 from .network import Binary, ConstraintNetwork, Unary
 
@@ -21,6 +21,8 @@ ROOM_TOKEN = "room"  # reference slot used by unary (object-vs-room) constraints
 
 def instance_to_record(inst: BenchmarkInstance) -> dict:
     cfg = inst.config
+    if ROOM_TOKEN in inst.network.variables:
+        raise ValueError(f"object name {ROOM_TOKEN!r} is reserved for unary constraints")
     constraints = [[u.obj, relation_token(u.rel), ROOM_TOKEN] for u in inst.network.unary]
     constraints += [
         [b.subject, relation_token(b.rel), b.reference] for b in inst.network.binary
@@ -58,8 +60,6 @@ def instance_to_record(inst: BenchmarkInstance) -> dict:
 
 
 def record_to_instance(rec: dict) -> BenchmarkInstance:
-    from .calculus import Direction9
-
     cfg = GenConfig(
         n=rec["config"]["n"],
         d=rec["config"]["d"],
@@ -121,17 +121,28 @@ def write_dataset(path: str | Path, instances: Iterable[BenchmarkInstance]) -> N
 
 
 def read_dataset(path: str | Path) -> list[BenchmarkInstance]:
-    return [record_to_instance(rec) for rec in read_records(path)]
+    instances = []
+    for where, rec in _numbered_records(path):
+        if (version := rec.get("schema_version")) != SCHEMA_VERSION:
+            raise ValueError(f"{where}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+        instances.append(record_to_instance(rec))
+    return instances
 
 
 def read_records(path: str | Path) -> list[dict]:
-    records = []
+    return [rec for _, rec in _numbered_records(path)]
+
+
+def _numbered_records(path: str | Path):
+    """Yield ``(path:line, record)`` for each non-blank line."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+                yield f"{path}:{lineno}", rec
 
 
 def dataset_sha256(path: str | Path) -> str:
@@ -154,7 +165,9 @@ def write_answers(path: str | Path, answers: Iterable[tuple[int, str]]) -> None:
 def read_answers(path: str | Path) -> dict[int, str]:
     """Read an answers file; evaluation-record files are accepted too."""
     out: dict[int, str] = {}
-    for rec in read_records(path):
+    for where, rec in _numbered_records(path):
+        if rec["id"] in out:
+            raise ValueError(f"{where}: answer id {rec['id']} appears more than once")
         out[rec["id"]] = rec["text"] if "text" in rec else rec["reply"]
     return out
 

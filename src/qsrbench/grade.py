@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 from .calculus import Direction9
@@ -77,8 +78,10 @@ def grade(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:
 
 
 def accepted_directions(inst: BenchmarkInstance) -> set[Direction9]:
-    """All free-response answers that would be graded correct."""
-    return feasible_directions(inst.network, (inst.query.subject, inst.query.reference))
+    """All free-response answers that would be graded correct; no direction
+    is feasible exactly when the story is unsatisfiable."""
+    pair = (inst.query.subject, inst.query.reference)
+    return feasible_directions(inst.network, pair) or {inst.gold_direction}
 
 
 # --- aggregation ------------------------------------------------------------
@@ -120,7 +123,13 @@ def aggregate(
     results: list[GradeResult],
     exclude_flagged: bool = False,
 ) -> list[Metrics]:
-    """Accuracy per configuration cell, in first-appearance order."""
+    """Accuracy per configuration cell, in first-appearance order; results
+    match instances by id, so a repeated id raises :class:`ValueError`."""
+    for kind, ids in (("instance", [i.id for i in instances]),
+                      ("result", [r.instance_id for r in results])):
+        repeated = [i for i, k in Counter(ids).items() if k > 1]
+        if repeated:
+            raise ValueError(f"{kind} id {repeated[0]} appears more than once")
     by_id = {r.instance_id: r for r in results}
     cells: dict[tuple, Metrics] = {}
     for inst in instances:

@@ -405,11 +405,11 @@ def feasible_directions(
 
 
 def classify_query(network: ConstraintNetwork, query_pair: tuple[str, str]) -> CountClass:
-    """No solution / single feasible direction / multiple feasible directions."""
-    base = solve(network, solution_cap=1)
-    if base.verdict is Verdict.UNSAT:
-        return CountClass.NO
+    """No solution / single / multiple feasible directions.  The nine directions
+    partition every cell pair, so none is feasible exactly when there is no solution."""
     k = len(feasible_directions(network, query_pair))
+    if k == 0:
+        return CountClass.NO
     return CountClass.SINGLE if k == 1 else CountClass.MULTIPLE
 
 

@@ -5,14 +5,15 @@ Rendering is deliberately rigid: a fixed opener sentence lists every object
 (with its region and wall contact when those constraints are in play), then
 one sentence per constrained object pair.  The north-facing view swaps in
 observer-relative phrases for the directional vocabulary and wraps the pair
-sentences in a perspective preamble; nothing else changes.  Because the
-grammar is rigid, :func:`parse_story` can reconstruct the source constraint
-multiset exactly, which the test-suite exploits for round-trip checks.
+sentences in a perspective preamble; nothing else changes.  :func:`parse_story`
+compiles its patterns from the same templates, so it reconstructs the source
+constraint multiset exactly, which the test-suite exploits for round-trip checks.
 """
 from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -32,9 +33,26 @@ from .network import Binary, ConstraintNetwork, Unary
 class StoryParseError(ValueError):
     """A story sentence (or item) does not match the grammar."""
 
-    def __init__(self, fragment: str, reason: str = "does not match any template"):
-        super().__init__(f"cannot parse {fragment!r}: {reason}")
-        self.fragment = fragment
+    def __init__(self, fragment: str):
+        super().__init__(f"cannot parse {fragment!r}: does not match any template")
+
+
+#: Each template's placeholders, exactly as the renderer fills them.
+TEMPLATE_FIELDS: dict[str, tuple[str, ...]] = {
+    "inventory_opener": ("items",),
+    "layout_item": ("name", "region"),
+    "layout_topo_suffix": ("topo",),
+    "pair_top_down": ("subject", "direction", "reference"),
+    "pair_top_down_overlap": ("subject", "reference"),
+    "pair_north_facing": ("subject", "direction", "reference"),
+    "distance_suffix": ("distance",),
+    "perspective_opener": (),
+    "perspective_lead": (),
+    "question_yn_top_down": ("subject", "direction", "reference"),
+    "question_yn_top_down_overlap": ("subject", "reference"),
+    "question_yn_north_facing": ("subject", "direction", "reference"),
+    "question_fr": ("subject", "reference", "options"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +66,8 @@ class Lexicon:
     templates: dict[str, str]
 
     def validate(self) -> None:
-        """Reject tables whose phrase-to-relation inversion is ambiguous."""
+        """Reject ambiguous phrase tables, and templates that are missing or
+        whose placeholders differ from :data:`TEMPLATE_FIELDS`."""
         for label, table in (
             ("regions", self.regions),
             ("distances", self.distances),
@@ -61,25 +80,19 @@ class Lexicon:
                 raise ValueError(f"ambiguous {view.value} direction phrases")
             if set(table) != set(Direction9):
                 raise ValueError(f"incomplete {view.value} direction table")
-        required = {
-            "inventory_opener", "layout_item", "layout_topo_suffix",
-            "pair_top_down", "pair_top_down_overlap", "pair_north_facing",
-            "distance_suffix", "perspective_opener", "perspective_lead",
-            "question_yn_top_down", "question_yn_top_down_overlap",
-            "question_yn_north_facing", "question_fr",
-        }
-        missing = required - set(self.templates)
-        if missing:
-            raise ValueError(f"lexicon templates missing: {sorted(missing)}")
+        for name, expected in TEMPLATE_FIELDS.items():
+            if name not in self.templates:
+                raise ValueError(f"lexicon template {name!r} is missing")
+            parsed = string.Formatter().parse(self.templates[name])
+            found = sorted(f for _, f, _, _ in parsed if f is not None)
+            if found != sorted(expected):
+                raise ValueError(
+                    f"lexicon template {name!r} has placeholders {found}, "
+                    f"expected {sorted(expected)}"
+                )
 
     def direction_phrase(self, rel: Direction9, view: ViewFrame) -> str:
         return self.directions[view][rel]
-
-    def direction_from_phrase(self, phrase: str, view: ViewFrame) -> Direction9:
-        for rel, p in self.directions[view].items():
-            if p == phrase:
-                return rel
-        raise KeyError(phrase)
 
 
 def load_lexicon(path: str | Path | None = None) -> Lexicon:
@@ -127,6 +140,10 @@ class QuestionText:
 
 def _capitalize(sentence: str) -> str:
     return sentence[0].upper() + sentence[1:] if sentence else sentence
+
+
+def _terminated(sentence: str) -> str:
+    return sentence if sentence.endswith(".") else sentence + "."
 
 
 def _join_items(items: list[str]) -> str:
@@ -227,7 +244,7 @@ def render_story(network: ConstraintNetwork, view: ViewFrame, lexicon: Lexicon |
             trace.append((idx, c))
         first_pair = False
 
-    text = " ".join(s if s.endswith(".") else s + "." for s in sentences)
+    text = " ".join(_terminated(s) for s in sentences)
     return StoryText(text=text, trace=tuple(trace))
 
 
@@ -324,137 +341,97 @@ def render_prompt(instance, preamble_mode: str = "plain", question: str | None =
 # parsing
 
 
+#: Object names as :func:`qsrbench.scene.sample_scene` forms them.
+_NAME = r"the [a-z][a-z ]*?"
+
+#: Separators between opener items: the inverse of :func:`_join_items`.
+_ITEM_SEP = re.compile(rf"(?:, and |, | and )(?={_NAME})")
+
+
 def _alternation(phrases) -> str:
     # longest first so that e.g. "north-east" beats "north"
     return "|".join(sorted((re.escape(p) for p in phrases), key=len, reverse=True))
 
 
+def _template_regex(template: str, fields: dict[str, str]) -> str:
+    """Regex source for ``template``: its literal text escaped, each
+    ``{field}`` a named group over the pattern ``fields[field]``."""
+    parts = []
+    for literal, field, _, _ in string.Formatter().parse(template):
+        parts.append(re.escape(literal))
+        if field is not None:
+            parts.append(f"(?P<{field}>{fields[field]})")
+    return "".join(parts)
+
+
+def _lower_first(text: str) -> str:
+    return text[:1].lower() + text[1:]
+
+
 def parse_story(text: str, lexicon: Lexicon | None = None) -> list[Unary | Binary]:
     """Recover the exact constraint multiset from a rendered story.
 
-    Works for both views; returned constraints are always in the canonical
-    cardinal vocabulary.  Raises :class:`StoryParseError` on any sentence or
-    item the grammar does not produce.
+    Every sentence pattern is compiled from the lexicon's own templates, so
+    any wording the renderer uses is read back.  Works for both views;
+    returned constraints are always in the canonical cardinal vocabulary.
+    Raises :class:`StoryParseError` on any sentence or item the grammar does
+    not produce.
     """
     lex = lexicon or default_lexicon()
     t = lex.templates
-    if not text.endswith("."):
-        raise StoryParseError(text[-40:], "story does not end with a period")
+    tables = {"region": lex.regions, "topo": lex.topology, "distance": lex.distances}
+    phrase_to = {f: {p: r for r, p in table.items()} for f, table in tables.items()}
+    fields = {f: _alternation(phrases) for f, phrases in phrase_to.items()}
+    fields.update(items=".+", name=_NAME, subject=_NAME, reference=_NAME)
+    opener_re = re.compile(_template_regex(_terminated(t["inventory_opener"]), fields))
+    topo_suffix = _template_regex(t["layout_topo_suffix"], fields)
+    item_re = re.compile(_template_regex(t["layout_item"], fields) + f"(?:{topo_suffix})?")
+    distance_suffix = f"(?:{_template_regex(t['distance_suffix'], fields)})?"
+    top_down = relation_phrases(lex, ViewFrame.TOP_DOWN)
+    pair_grammar = []
+    for name, directions in (
+        ("pair_top_down", {p: d for p, d in top_down.items() if d is not Direction9.O}),
+        # the overlap template names no direction: its empty phrase is O
+        ("pair_top_down_overlap", {"": Direction9.O}),
+        ("pair_north_facing", relation_phrases(lex, ViewFrame.NORTH_FACING)),
+    ):
+        fields["direction"] = _alternation(directions)
+        # pair sentences are matched with their first letter lowered
+        body = _template_regex(_lower_first(t[name]), fields)
+        pair_grammar.append((re.compile(body + distance_suffix + r"\."), directions))
 
-    sentences = [s.strip() for s in re.split(r"(?<=\.)\s+", text.strip()) if s.strip()]
+    opener, *rest = re.split(r"(?<=\.)\s+", text.strip())
+    inventory = opener_re.fullmatch(opener)
+    if inventory is None:
+        raise StoryParseError(opener)
     constraints: list[Unary | Binary] = []
-
-    opener_prefix = t["inventory_opener"].split("{items}")[0]
-    perspective_sentence = t["perspective_opener"]
-    lead = t["perspective_lead"]
-
-    region_alt = _alternation(lex.regions.values())
-    topo_alt = _alternation(lex.topology.values())
-    dist_alt = _alternation(lex.distances.values())
-    td_alt = _alternation(
-        p for d, p in lex.directions[ViewFrame.TOP_DOWN].items() if d is not Direction9.O
-    )
-    nf_alt = _alternation(lex.directions[ViewFrame.NORTH_FACING].values())
-    name_pat = r"the [a-z][a-z ]*?"
-
-    item_re = re.compile(
-        rf"(?P<name>{name_pat}) placed in the (?P<region>{region_alt})"
-        rf"(?:, (?P<topo>{topo_alt}) the wall)?$"
-    )
-    bare_re = re.compile(rf"^{name_pat}$")
-    pair_td_re = re.compile(
-        rf"^(?P<subject>{name_pat}) is placed to the (?P<dir>{td_alt}) of "
-        rf"(?P<reference>{name_pat})(?:, (?P<dist>{dist_alt}))?\.$"
-    )
-    overlap_td_re = re.compile(
-        rf"^(?P<subject>{name_pat}) is placed at the same spot as "
-        rf"(?P<reference>{name_pat})(?:, (?P<dist>{dist_alt}))?\.$"
-    )
-    pair_nf_re = re.compile(
-        rf"^(?P<subject>{name_pat}) is (?P<dir>{nf_alt}) "
-        rf"(?P<reference>{name_pat})(?:, (?P<dist>{dist_alt}))?\.$"
-    )
-
-    def parse_items(body: str) -> None:
-        pieces = _split_items(body)
-        for piece in pieces:
-            m = item_re.fullmatch(piece)
-            if m:
-                name = m.group("name")
-                region = _lookup(lex.regions, m.group("region"))
-                constraints.append(Unary(name, region))
-                if m.group("topo"):
-                    constraints.append(Unary(name, _lookup(lex.topology, m.group("topo"))))
-            elif bare_re.fullmatch(piece):
-                continue  # inventory mention only, no constraint
-            else:
-                raise StoryParseError(piece)
-
-    for sentence in sentences:
-        if sentence == perspective_sentence:
-            continue
-        if sentence.startswith(opener_prefix):
-            body = sentence[len(opener_prefix):]
-            if not body.endswith("."):
-                raise StoryParseError(sentence)
-            parse_items(body[:-1])
-            continue
-        normalized = sentence
-        if normalized.startswith(lead):
-            normalized = normalized[len(lead):]
-        normalized = normalized[0].lower() + normalized[1:]
-        m = pair_td_re.fullmatch(normalized)
+    for item in _ITEM_SEP.split(inventory["items"]):
+        m = item_re.fullmatch(item)
         if m:
-            rel = lex.direction_from_phrase(m.group("dir"), ViewFrame.TOP_DOWN)
-        else:
-            m = overlap_td_re.fullmatch(normalized)
+            constraints.append(Unary(m["name"], phrase_to["region"][m["region"]]))
+            if m["topo"]:
+                constraints.append(Unary(m["name"], phrase_to["topo"][m["topo"]]))
+        elif not re.fullmatch(_NAME, item):  # a bare name carries no constraint
+            raise StoryParseError(item)
+
+    perspective = _terminated(t["perspective_opener"])
+    for sentence in rest:
+        if sentence == perspective:
+            continue
+        body = _lower_first(sentence.removeprefix(t["perspective_lead"]))
+        for pattern, directions in pair_grammar:
+            m = pattern.fullmatch(body)
             if m:
-                rel = Direction9.O
-            else:
-                m = pair_nf_re.fullmatch(normalized)
-                if m:
-                    rel = lex.direction_from_phrase(m.group("dir"), ViewFrame.NORTH_FACING)
-                else:
-                    raise StoryParseError(sentence)
-        subject = m.group("subject")
-        reference = m.group("reference")
+                break
+        else:
+            raise StoryParseError(sentence)
+        subject, reference = m["subject"], m["reference"]
+        rel = directions[m.groupdict().get("direction", "")]
         constraints.append(Binary(subject, rel, reference))
-        if m.group("dist"):
-            constraints.append(Binary(subject, _lookup(lex.distances, m.group("dist")), reference))
+        if m["distance"]:
+            constraints.append(Binary(subject, phrase_to["distance"][m["distance"]], reference))
 
     return constraints
-
-
-def _split_items(body: str) -> list[str]:
-    """Split the opener item list on ", and " / " and " / ", " separators,
-    keeping commas that belong to an item's wall-contact suffix."""
-    if ", and " in body:
-        head, tail = body.rsplit(", and ", 1)
-        return _split_items(head) + [tail]
-    if " and " in body:
-        head, tail = body.rsplit(" and ", 1)
-        return _split_items_comma(head) + [tail]
-    return _split_items_comma(body)
-
-
-def _split_items_comma(body: str) -> list[str]:
-    parts = body.split(", ")
-    items: list[str] = []
-    for part in parts:
-        # a fragment that does not introduce an object continues the
-        # previous item (it is a wall-contact suffix)
-        if items and not part.startswith("the "):
-            items[-1] += ", " + part
-        else:
-            items.append(part)
-    return items
-
-
-def _lookup(table: dict, phrase: str):
-    for rel, p in table.items():
-        if p == phrase:
-            return rel
-    raise StoryParseError(phrase, "unknown phrase")
 
 
 def relation_phrases(lexicon: Lexicon, view: ViewFrame) -> dict[str, Direction9]:

@@ -33,7 +33,7 @@ from qsrbench.calculus import (
     wall_topology,
     wall_topology_cell,
 )
-from qsrbench.textgen import default_lexicon
+from qsrbench.textgen import default_lexicon, relation_phrases
 
 # --- directions --------------------------------------------------------------
 
@@ -256,9 +256,10 @@ def test_cell_of_point_origin_is_southwest():
 def test_view_labels_round_trip():
     lex = default_lexicon()
     for view in ViewFrame:
+        phrases = relation_phrases(lex, view)
         for d in Direction9:
             label = lex.direction_phrase(d, view)
-            assert lex.direction_from_phrase(label, view) is d
+            assert phrases[label] is d
 
 
 def test_view_relabeling_touches_surface_only():

@@ -159,6 +159,15 @@ class TestGrade:
         assert main(["grade", "--dataset", str(ds), "--answers", str(answers)]) == 2
         assert "no answer for instance id 0" in capsys.readouterr().err
 
+    def test_repeated_instance_ids_exit_one(self, tmp_path, capsys):
+        ds = run_generate(tmp_path)
+        answers = self._answer_file(tmp_path, ds)
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text(ds.read_text() * 2, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["grade", "--dataset", str(doubled), "--answers", str(answers)]) == 1
+        assert "instance id 0 appears more than once" in capsys.readouterr().err
+
     def test_metrics_output_json_and_csv(self, tmp_path, capsys):
         ds = run_generate(tmp_path)
         answers = self._answer_file(tmp_path, ds)

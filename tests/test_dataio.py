@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsrbench.calculus import Direction9, ViewFrame
+from qsrbench.calculus import (
+    Direction9,
+    DistanceScheme,
+    Region9,
+    TopoWall,
+    ViewFrame,
+    distance_bands_for,
+)
 from qsrbench.dataio import (
+    ROOM_TOKEN,
     SCHEMA_VERSION,
     dataset_sha256,
     dumps_record,
@@ -24,7 +36,15 @@ from qsrbench.dataio import (
 )
 from qsrbench.evalharness import EvalRecord
 from qsrbench.grade import ParsedAnswer
-from qsrbench.netgen import GenConfig, QType, Setting, generate_dataset
+from qsrbench.netgen import (
+    BenchmarkInstance,
+    GenConfig,
+    QType,
+    QuerySpec,
+    Setting,
+    generate_dataset,
+)
+from qsrbench.network import Binary, ConstraintNetwork, Unary
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +135,100 @@ class TestRoundTrip:
         write_dataset(path, yn_build.instances[:2])
         path.write_text(path.read_text() + "\n\n", encoding="utf-8")
         assert len(read_dataset(path)) == 2
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_BANDS = [band for scheme in DistanceScheme for band in distance_bands_for(scheme)]
+
+
+@st.composite
+def instances(draw, ident):
+    # the reserved name is rejected on write (test_room_name_is_rejected)
+    name = st.text(min_size=1, max_size=8).filter(lambda s: s != ROOM_TOKEN)
+    names = draw(st.lists(name, min_size=2, max_size=5, unique=True))
+    n = len(names)
+    d = draw(st.sampled_from([81, 144]))
+    w = draw(st.floats(min_value=1.0, max_value=100.0))
+    qtype = draw(st.sampled_from(list(QType)))
+    config = GenConfig(
+        n=n,
+        d=d,
+        m=draw(st.integers(0, n * (n - 1) // 2 - 1)),
+        setting=draw(st.sampled_from(list(Setting))),
+        view=draw(st.sampled_from(list(ViewFrame))),
+        qtype=qtype,
+        w=w,
+        eps_frac=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+    unary = []
+    for name in names:
+        for rel in draw(st.lists(st.sampled_from(list(Region9) + list(TopoWall)), max_size=2)):
+            if not any(u.obj == name and type(u.rel) is type(rel) for u in unary):
+                unary.append(Unary(name, rel))
+    pairs = [(a, b) for a in names for b in names if a != b]
+    binary = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)):
+        binary.append(Binary(a, draw(st.sampled_from(list(Direction9))), b))
+        if draw(st.booleans()):
+            binary.append(Binary(a, draw(st.sampled_from(_BANDS)), b))
+    subject, reference = draw(st.sampled_from(pairs))
+    yn = qtype is QType.YN
+    return BenchmarkInstance(
+        id=ident,
+        room_id=draw(st.integers(0, 10**6)),
+        room_type=draw(st.text(max_size=12)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        config=config,
+        network=ConstraintNetwork(tuple(names), tuple(unary), tuple(binary), config.s, w),
+        query=QuerySpec(
+            subject,
+            reference,
+            qtype,
+            draw(st.sampled_from(list(Direction9))) if yn else None,
+            draw(st.sampled_from(["Yes", "No"])) if yn else None,
+        ),
+        story=draw(st.text()),
+        question=draw(st.text()),
+        gold_coords={name: (draw(_FLOATS), draw(_FLOATS)) for name in names},
+        gold_direction=draw(st.sampled_from(list(Direction9))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(*(instances(i) for i in range(k)))))
+def test_write_read_dataset_round_trip(tmp_path_factory, batch):
+    path = tmp_path_factory.mktemp("rt") / "ds.jsonl"
+    write_dataset(path, batch)
+    assert read_dataset(path) == list(batch)
+
+
+class TestInputErrors:
+    def test_malformed_json_names_file_and_line(self, yn_build, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        write_dataset(path, yn_build.instances[:2])
+        path.write_text(path.read_text() + '{"id": 2, oops}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed JSON")):
+            read_dataset(path)
+
+    def test_other_schema_version_rejected(self, yn_build, tmp_path):
+        path = tmp_path / "v9.jsonl"
+        rec = dict(instance_to_record(yn_build.instances[0]), schema_version=9)
+        path.write_text(dumps_record(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: schema_version 9")):
+            read_dataset(path)
+
+    def test_room_name_is_rejected(self, yn_build, tmp_path):
+        inst = yn_build.instances[0]
+        network = dataclasses.replace(inst.network, variables=(ROOM_TOKEN,), unary=(), binary=())
+        renamed = dataclasses.replace(inst, network=network)
+        with pytest.raises(ValueError, match="reserved"):
+            write_dataset(tmp_path / "room.jsonl", [renamed])
+
+    def test_repeated_answer_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "answers.jsonl"
+        write_answers(path, [(0, "Yes"), (1, "No"), (0, "No")])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: answer id 0 appears")):
+            read_answers(path)
 
 
 class TestDumps:

@@ -43,6 +43,16 @@ def fr_instances():
     return build(QType.FR, setting=Setting.O2_D3).instances
 
 
+@pytest.fixture(scope="module")
+def unsat_fr_instance():
+    # a generated story whose grid discretization is unsatisfiable
+    instances = build(QType.FR, Setting.O2_D3, seed=41, count=30, n=6, m=5).instances
+    return next(
+        inst for inst in instances
+        if solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT
+    )
+
+
 class TestGradeYN:
     def test_gold_label_is_correct(self, yn_instances):
         for inst in yn_instances:
@@ -112,14 +122,15 @@ class TestGradeFR:
         assert "base-unsatisfiable" in res2.flags
         assert not res2.correct
 
-    def test_accepted_directions_matches_grading(self, fr_instances):
-        inst = fr_instances[0]
-        feasible = accepted_directions(inst)
-        assert feasible == {
-            d
-            for d in Direction9
-            if grade_fr(inst, ParsedAnswer(direction=d, raw="")).correct
-        }
+    def test_accepted_directions_matches_grading(self, fr_instances, unsat_fr_instance):
+        for inst in (fr_instances[0], unsat_fr_instance):
+            feasible = accepted_directions(inst)
+            assert feasible
+            assert feasible == {
+                d
+                for d in Direction9
+                if grade_fr(inst, ParsedAnswer(direction=d, raw="")).correct
+            }
 
 
 class TestAggregate:
@@ -164,6 +175,19 @@ class TestAggregate:
         assert full.total == len(yn_instances)
         assert trimmed.total == len(yn_instances) - 1
         assert trimmed.accuracy == 1.0
+
+    def test_repeated_instance_id_rejected(self, yn_instances, fr_instances):
+        # ids restart at 0 in every generated set, so concatenating two collides
+        instances = list(yn_instances) + list(fr_instances)
+        results = [GradeResult(i.id, True, ParsedAnswer()) for i in instances]
+        with pytest.raises(ValueError, match="instance id 0 appears more than once"):
+            aggregate(instances, results)
+
+    def test_repeated_result_id_rejected(self, yn_instances):
+        wrong = [GradeResult(i.id, False, ParsedAnswer(yn="No")) for i in yn_instances[:5]]
+        right = [GradeResult(i.id, True, ParsedAnswer(yn="Yes")) for i in yn_instances[:5]]
+        with pytest.raises(ValueError, match="result id 0 appears more than once"):
+            aggregate(list(yn_instances[:5]), wrong + right)
 
     def test_missing_results_are_skipped(self, yn_instances):
         results = [GradeResult(yn_instances[0].id, True, ParsedAnswer(yn="Yes"))]

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +19,14 @@ from qsrbench.calculus import (
     Region9,
     TopoWall,
     ViewFrame,
+    distance_bands_for,
 )
 from qsrbench.netgen import GenConfig, QType, QuerySpec, Setting, generate_dataset
 from qsrbench.network import Binary, ConstraintNetwork, Unary
 from qsrbench.textgen import (
     StoryParseError,
     default_lexicon,
+    load_lexicon,
     parse_story,
     relation_phrases,
     render_prompt,
@@ -254,3 +261,91 @@ def test_round_trip_property(seed, view):
     parsed = parse_story(inst.story)
     binaries = [c for c in parsed if isinstance(c, Binary)]
     assert set(binaries) == set(inst.network.binary)
+
+
+REWORDED = load_lexicon(Path(__file__).parent / "data" / "lexicon_reworded.json")
+LEXICONS = {"default": default_lexicon(), "reworded": REWORDED}
+
+
+class TestLexiconValidation:
+    @pytest.mark.parametrize(
+        "name, template",
+        [
+            ("pair_top_down", "{subject} is placed to the north of it"),  # drops {reference}
+            ("pair_north_facing", "{subject} is {direction} {reference}, {distance}"),  # adds
+            ("layout_item", "{name} placed in the {region} ({region})"),  # repeats
+            ("perspective_lead", "From {view}, "),
+        ],
+    )
+    def test_rejects_a_changed_placeholder_set(self, name, template):
+        lex = default_lexicon()
+        changed = dataclasses.replace(lex, templates={**lex.templates, name: template})
+        with pytest.raises(ValueError, match=name):
+            changed.validate()
+
+    def test_rejects_a_missing_template(self):
+        lex = default_lexicon()
+        templates = {k: v for k, v in lex.templates.items() if k != "distance_suffix"}
+        with pytest.raises(ValueError, match="distance_suffix"):
+            dataclasses.replace(lex, templates=templates).validate()
+
+
+@pytest.mark.parametrize("view", list(ViewFrame))
+@pytest.mark.parametrize("setting", list(Setting))
+def test_reworded_lexicon_round_trips_generated_stories(setting, view):
+    cfg = GenConfig(n=5, d=144, m=4, setting=setting, view=view, qtype=QType.FR)
+    build = generate_dataset(master_seed=3, count=6, config=cfg, lexicon=REWORDED)
+    for inst in build.instances:
+        assert "placed" not in inst.story
+        parsed = parse_story(inst.story, REWORDED)
+        assert Counter(parsed) == Counter(inst.network.unary + inst.network.binary)
+
+
+def _lexicon_words() -> set[str]:
+    words = {"and"}
+    for lex in LEXICONS.values():
+        tables = [lex.regions, lex.distances, lex.topology, lex.templates, *lex.directions.values()]
+        for table in tables:
+            for text in table.values():
+                words.update(re.findall(r"[a-z]+", text.lower()))
+    return words
+
+
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=7).filter(
+    lambda w, taken=_lexicon_words(): w not in taken
+)
+_NAME = st.lists(_WORD, min_size=1, max_size=2).map(lambda ws: "the " + " ".join(ws))
+_BANDS = [band for scheme in DistanceScheme for band in distance_bands_for(scheme)]
+
+
+@st.composite
+def networks(draw):
+    names = draw(st.lists(_NAME, min_size=2, max_size=5, unique=True))
+    unary = []
+    for name in names:
+        region = draw(st.none() | st.sampled_from(list(Region9)))
+        if region is not None:
+            unary.append(Unary(name, region))
+            topo = draw(st.none() | st.sampled_from(list(TopoWall)))
+            if topo is not None:
+                unary.append(Unary(name, topo))
+    pairs = [(a, b) for a in names for b in names if a != b]
+    binary = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)):
+        binary.append(Binary(a, draw(st.sampled_from(list(Direction9))), b))
+        band = draw(st.none() | st.sampled_from(_BANDS))
+        if band is not None:
+            binary.append(Binary(a, band, b))
+    return ConstraintNetwork(tuple(names), tuple(unary), tuple(binary), s=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    net=networks(),
+    view=st.sampled_from(list(ViewFrame)),
+    lexicon=st.sampled_from(sorted(LEXICONS)),
+)
+def test_render_parse_round_trip_hand_built(net, view, lexicon):
+    lex = LEXICONS[lexicon]
+    parsed = parse_story(render_story(net, view, lex).text, lex)
+    assert Counter(parsed) == Counter(net.unary + net.binary)
