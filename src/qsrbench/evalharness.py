@@ -17,7 +17,7 @@ from typing import Callable, Protocol
 import requests
 
 from .calculus import Direction9, ViewFrame
-from .grade import GradeResult, Metrics, ParsedAnswer, aggregate, grade
+from .grade import GradeResult, Metrics, ParsedAnswer, aggregate, grade, reject_repeated_ids
 from .netgen import BenchmarkInstance, QType
 from .textgen import Lexicon, default_lexicon, relation_phrases, render_prompt
 
@@ -260,8 +260,11 @@ def run_eval(
     """Query, parse, and grade every instance, preserving dataset order.
 
     A failed request yields a record with the error noted and an empty
-    (unparseable) answer; the run always completes.
+    (unparseable) answer; the run always completes.  A repeated instance id
+    raises :class:`ValueError` before any request is made, since grading
+    matches answers to instances by id.
     """
+    reject_repeated_ids("instance", [inst.id for inst in instances])
     lexicon = lexicon or default_lexicon()
     run = EvalRun(mode=mode)
     run.manifest = {

@@ -118,6 +118,13 @@ def group_key(inst: BenchmarkInstance) -> tuple:
     return (cfg.n, cfg.m, cfg.d, cfg.setting.value, cfg.view.value, cfg.qtype.value)
 
 
+def reject_repeated_ids(kind: str, ids: list[int]) -> None:
+    """Raise :class:`ValueError` naming the first id that appears more than once."""
+    repeated = [i for i, k in Counter(ids).items() if k > 1]
+    if repeated:
+        raise ValueError(f"{kind} id {repeated[0]} appears more than once")
+
+
 def aggregate(
     instances: list[BenchmarkInstance],
     results: list[GradeResult],
@@ -125,11 +132,8 @@ def aggregate(
 ) -> list[Metrics]:
     """Accuracy per configuration cell, in first-appearance order; results
     match instances by id, so a repeated id raises :class:`ValueError`."""
-    for kind, ids in (("instance", [i.id for i in instances]),
-                      ("result", [r.instance_id for r in results])):
-        repeated = [i for i, k in Counter(ids).items() if k > 1]
-        if repeated:
-            raise ValueError(f"{kind} id {repeated[0]} appears more than once")
+    reject_repeated_ids("instance", [i.id for i in instances])
+    reject_repeated_ids("result", [r.instance_id for r in results])
     by_id = {r.instance_id: r for r in results}
     cells: dict[tuple, Metrics] = {}
     for inst in instances:

@@ -1,25 +1,30 @@
 """Consistency checking on the cell grid.
 
-The main entry points are :func:`solve` (backtracking search with forward
-checking), :func:`brute_force_solve` (an independent enumeration oracle),
-:func:`feasible_directions` / :func:`classify_query` (answer-level analysis
-of a query pair) and the constraint-tightness calculators.
+The main entry points are :func:`solve` (an arc-consistency pass, then
+backtracking search with forward checking), :func:`brute_force_solve` (an
+independent enumeration oracle), :func:`feasible_directions` /
+:func:`classify_query` (answer-level analysis of a query pair) and the
+constraint-tightness calculators.
 
-Search determinism is part of the contract: variables are picked by highest
-degree among unassigned neighbours, then smallest live domain, then smallest
-variable index; values are tried in row-major cell order.  Domains are kept
-as integer bitmasks (bit ``row * s + col``), which keeps the inner loop at
-big-integer AND speed and makes 9-direction probing cheap enough to run on
-every generated instance.
+Domains are kept as integer bitmasks (bit ``row * s + col``).  The support
+of a variable from a neighbour's domain is the OR of that domain's partner
+masks, read from per-relation tables in 4-bit chunks, so AC-3 (Mackworth
+1977) runs at big-integer OR/AND speed and proves most Unsat probes without
+search.  Search determinism is part of the contract: variables are picked
+by highest degree among unassigned neighbours, then smallest live domain
+(after arc consistency), then smallest variable index; values are tried in
+row-major cell order.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .calculus import (
     direction_holds_for_cells,
     distance_band_between_cells,
     distance_bands_for,
+    inverse_direction,
     region_holds_for_cell,
     relation_from_token,
     relation_token,
@@ -59,7 +65,7 @@ class CountClass(Enum):
 class SolveStats:
     nodes: int = 0        # tentative assignments tried
     backtracks: int = 0   # tentative assignments retracted
-    elapsed: float = 0.0  # wall-clock seconds around the search only
+    elapsed: float = 0.0  # wall-clock seconds of propagation plus search
 
 
 @dataclass
@@ -183,9 +189,42 @@ def _partner_masks(rel: Relation, s: int) -> list[int]:
     return masks
 
 
-def _inverse_rel(rel: Relation) -> Relation:
-    from .calculus import inverse_direction
+class _Support(NamedTuple):
+    """Support of a binary relation's subject, given the reference's domain."""
 
+    masks: list[int]          # :func:`_partner_masks`, one per reference cell
+    tables: list[list[int]]   # ``tables[k][b]``: OR of ``masks[4k + i]`` over bits i of b
+    full: int                 # the support of the whole grid
+
+
+_support_cache: dict[tuple[str, int], _Support] = {}
+
+
+def _support(rel: Relation, s: int) -> _Support:
+    """Partner masks of ``rel`` with their 4-bit chunk tables, cached under the
+    :func:`_partner_masks` key.  The support of a domain is then one lookup
+    per non-zero nibble; 8-bit chunks would take 8 times the memory."""
+    key = (relation_token(rel), s)
+    support = _support_cache.get(key)
+    if support is None:
+        masks = _partner_masks(rel, s)
+        tables = []
+        # two tables per byte of a domain, the last ones padded with 0
+        for k in range(0, -(-len(masks) // 8) * 8, 4):
+            chunk = masks[k : k + 4]
+            table = [0] * 16
+            for b in range(1, 1 << len(chunk)):
+                low = b & -b
+                table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
+            tables.append(table)
+        full = 0
+        for m in masks:
+            full |= m
+        support = _support_cache[key] = _Support(masks, tables, full)
+    return support
+
+
+def _inverse_rel(rel: Relation) -> Relation:
     if isinstance(rel, Direction9):
         return inverse_direction(rel)
     return rel  # distance bands are symmetric
@@ -229,11 +268,74 @@ def _iter_bits(mask: int):
 
 
 # ---------------------------------------------------------------------------
-# backtracking search
+# arc consistency and backtracking search
+
+
+def _arcs(network: ConstraintNetwork) -> list[tuple[int, int, _Support]]:
+    """Two arcs per binary constraint: arc ``2c`` revises constraint c's subject
+    from its reference, arc ``2c + 1`` the reference from the subject, so
+    ``a ^ 1`` is the reverse of arc ``a``.  Each is ``(revised, source, support)``."""
+    arcs = []
+    for c in network.binary:
+        si = network.index_of(c.subject)
+        ri = network.index_of(c.reference)
+        arcs.append((si, ri, _support(c.rel, network.s)))
+        arcs.append((ri, si, _support(_inverse_rel(c.rel), network.s)))
+    return arcs
+
+
+def _supported(support: _Support, domain: int, full: int) -> int:
+    """Cells of the revised variable with a partner in ``domain``."""
+    if domain == full:
+        return support.full
+    if domain & (domain - 1) == 0:
+        return support.masks[domain.bit_length() - 1]
+    out = 0
+    tables = support.tables
+    k = 0
+    for byte in domain.to_bytes(len(tables) >> 1, "little"):
+        if byte:
+            out |= tables[k][byte & 15] | tables[k + 1][byte >> 4]
+        k += 2
+    return out
+
+
+def _arc_consistent(
+    live: list[int],
+    arcs: list[tuple[int, int, _Support]],
+    watchers: list[list[int]],
+    full: int,
+) -> bool:
+    """AC-3: narrow ``live`` in place until every cell left has a partner in
+    each neighbour's domain; False when a domain empties.  A narrowed
+    variable requeues the arcs it is the source of, except the reverse of
+    the arc that narrowed it, whose support cannot have changed (a second
+    constraint on the same pair has arcs of its own)."""
+    queue = deque(range(len(arcs)))
+    queued = bytearray(b"\x01" * len(arcs))
+    while queue:
+        a = queue.popleft()
+        queued[a] = 0
+        x, y, support = arcs[a]
+        new = live[x] & _supported(support, live[y], full)
+        if new != live[x]:
+            if not new:
+                return False
+            live[x] = new
+            for b in watchers[x]:
+                if not queued[b] and b != a ^ 1:
+                    queued[b] = 1
+                    queue.append(b)
+    return True
 
 
 def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutcome:
     """Search for grid assignments satisfying every constraint.
+
+    An arc-consistency pass (AC-3) first narrows every domain to the cells
+    with a partner in each neighbour's domain; a domain it empties proves
+    Unsat without search (0 nodes).  Backtracking search with forward
+    checking then runs on the narrowed domains.
 
     ``solution_cap`` bounds how many solutions are counted before stopping;
     ``None`` lifts the cap, producing an exact count.  The first solution
@@ -243,27 +345,26 @@ def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutc
         raise ValueError("solution_cap must be at least 1")
     n = len(network.variables)
     s = network.s
+    full = (1 << network.d) - 1
     stats = SolveStats()
 
     live = _live_masks(network)
-
-    # adjacency: per variable, (neighbour index, masks giving this
-    # variable's allowed cells for a fixed neighbour cell, and vice versa)
-    adj: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in range(n)]
-    for c in network.binary:
-        si = network.index_of(c.subject)
-        ri = network.index_of(c.reference)
-        subj_given_ref = _partner_masks(c.rel, s)
-        ref_given_subj = _partner_masks(_inverse_rel(c.rel), s)
-        adj[si].append((ri, subj_given_ref, ref_given_subj))
-        adj[ri].append((si, ref_given_subj, subj_given_ref))
+    arcs = _arcs(network)
+    # watchers[v]: the arcs whose source is v, i.e. that revise a neighbour of v
+    watchers: list[list[int]] = [[] for _ in range(n)]
+    for a, (_, y, _) in enumerate(arcs):
+        watchers[y].append(a)
 
     start = time.perf_counter()
 
-    if any(m == 0 for m in live):
+    if not all(live) or not _arc_consistent(live, arcs, watchers, full):
         stats.elapsed = time.perf_counter() - start
         return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
 
+    # per variable, (neighbour, the neighbour's allowed cells per cell of this one)
+    adj: list[list[tuple[int, list[int]]]] = [
+        [(arcs[a][0], arcs[a][2].masks) for a in watchers[v]] for v in range(n)
+    ]
     assigned = [-1] * n
     unassigned = set(range(n))
     found = 0
@@ -274,7 +375,7 @@ def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutc
         best = -1
         best_key: tuple[int, int, int] | None = None
         for v in unassigned:
-            degree = sum(1 for (u, _, _) in adj[v] if u in unassigned)
+            degree = sum(1 for (u, _) in adj[v] if u in unassigned)
             key = (-degree, live[v].bit_count(), v)
             if best_key is None or key < best_key:
                 best_key = key
@@ -297,7 +398,7 @@ def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutc
             assigned[v] = cell
             pruned: list[tuple[int, int]] = []
             ok = True
-            for (u, _mine_given_theirs, theirs_given_mine) in adj[v]:
+            for (u, theirs_given_mine) in adj[v]:
                 if u not in unassigned:
                     continue
                 new = live[u] & theirs_given_mine[cell]

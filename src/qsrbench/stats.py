@@ -10,16 +10,23 @@ multiple feasible answers) together with search-effort numbers.
 Effort is reported two ways per cell: the cost of probing all nine
 directions (what a find-relation grader pays) and the cost of the single
 gold-direction probe (what a yes/no check pays on the same network).
+
+Base-solve times are taken by :func:`time_cells` for all cells of one sweep
+together, visiting the cells round-robin, so a change in machine speed
+during the sweep lands on every cell alike instead of on whichever cell was
+running at the time.
 """
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import statistics
 from dataclasses import dataclass, field
 
 from .calculus import ViewFrame
 from .netgen import GenConfig, QType, Setting, generate_dataset
+from .network import ConstraintNetwork
 from .scene import Catalog
 from .solver import Verdict, probe_directions, solve
 
@@ -70,6 +77,8 @@ class CellStats:
     mean_backtracks: float = 0.0
     mean_fr_nodes: float = 0.0
     mean_yn_nodes: float = 0.0
+    #: the rooms' networks, kept until :func:`time_cells` times their base solves
+    networks: list[ConstraintNetwork] = field(default_factory=list, repr=False)
 
     @property
     def no_rate(self) -> float:
@@ -125,24 +134,21 @@ def measure_cell(
     sweep: str,
     catalog: Catalog | None = None,
 ) -> CellStats:
-    """Generate ``rooms`` instances for one cell and aggregate solver stats."""
+    """Generate ``rooms`` instances for one cell and aggregate solver stats.
+
+    The cell's solve times stay zero until :func:`time_cells` is run on it.
+    """
     build = generate_dataset(master_seed, rooms, config, catalog=catalog)
     cell = CellStats(
         sweep=sweep, setting=config.setting, d=config.d, n=config.n, m=config.m
     )
-    times: list[float] = []
     nodes: list[int] = []
     backtracks: list[int] = []
     fr_nodes: list[int] = []
     yn_nodes: list[int] = []
     for inst in build.instances:
         outcome = solve(inst.network, solution_cap=2)
-        # Re-time twice and keep the fastest run: the search is deterministic,
-        # so the minimum strips scheduler/GC spikes from sub-millisecond solves.
-        elapsed = outcome.stats.elapsed
-        for _ in range(2):
-            elapsed = min(elapsed, solve(inst.network, solution_cap=2).stats.elapsed)
-        times.append(elapsed)
+        cell.networks.append(inst.network)
         nodes.append(outcome.stats.nodes)
         backtracks.append(outcome.stats.backtracks)
 
@@ -163,14 +169,44 @@ def measure_cell(
             else:
                 cell.multiple_count += 1
 
-    if times:
-        cell.mean_time = statistics.fmean(times)
-        cell.std_time = statistics.pstdev(times)
+    if nodes:
         cell.mean_nodes = statistics.fmean(nodes)
         cell.mean_backtracks = statistics.fmean(backtracks)
         cell.mean_fr_nodes = statistics.fmean(fr_nodes)
         cell.mean_yn_nodes = statistics.fmean(yn_nodes)
     return cell
+
+
+def time_cells(cells: list[CellStats]) -> None:
+    """Set each cell's solve-time mean and spread from the fastest of three
+    timed base solves per room, then drop the cells' networks.
+
+    The three runs are three passes, each visiting room i of every cell
+    before room i + 1, so cells timed together share the machine's speed.
+    The search is deterministic, so the minimum strips scheduler spikes;
+    the cyclic garbage collector is paused while timing, as ``timeit`` does,
+    so no collection of the caller's objects lands inside a sub-millisecond
+    solve.
+    """
+    fastest = [[float("inf")] * len(cell.networks) for cell in cells]
+    rounds = max((len(cell.networks) for cell in cells), default=0)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for i in range(rounds):
+                for cell, times in zip(cells, fastest):
+                    if i < len(times):
+                        elapsed = solve(cell.networks[i], solution_cap=2).stats.elapsed
+                        times[i] = min(times[i], elapsed)
+    finally:
+        if collecting:
+            gc.enable()
+    for cell, times in zip(cells, fastest):
+        if times:
+            cell.mean_time = statistics.fmean(times)
+            cell.std_time = statistics.pstdev(times)
+        cell.networks = []
 
 
 def run_sweeps(
@@ -196,16 +232,18 @@ def run_sweeps(
 
     for setting in settings:
         for d in d_values:
-            for n in N_SWEEP:
-                cfg = config(n, n - 1, setting, d)
-                report.rows.append(
-                    measure_cell(master_seed, rooms_per_cell, cfg, "n", catalog)
-                )
-            for m in M_SWEEP:
-                cfg = config(M_SWEEP_N, m, setting, d)
-                report.rows.append(
-                    measure_cell(master_seed, rooms_per_cell, cfg, "m", catalog)
-                )
+            for sweep, shapes in (
+                ("n", [(n, n - 1) for n in N_SWEEP]),
+                ("m", [(M_SWEEP_N, m) for m in M_SWEEP]),
+            ):
+                cells = [
+                    measure_cell(
+                        master_seed, rooms_per_cell, config(n, m, setting, d), sweep, catalog
+                    )
+                    for n, m in shapes
+                ]
+                time_cells(cells)
+                report.rows.extend(cells)
     return report
 
 

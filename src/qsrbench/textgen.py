@@ -22,9 +22,11 @@ from .calculus import (
     DIRECTION_ORDER,
     Direction9,
     DistanceBand,
+    DistanceScheme,
     Region9,
     TopoWall,
     ViewFrame,
+    distance_bands_for,
     relation_from_token,
 )
 from .network import Binary, ConstraintNetwork, Unary
@@ -55,6 +57,13 @@ TEMPLATE_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _reject_sentence_break(label: str, text: str) -> None:
+    """Stories are split into sentences at a period followed by whitespace,
+    so story wording may not contain one."""
+    if re.search(r"\.\s", text):
+        raise ValueError(f"lexicon {label} {text!r} would split a story sentence")
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Phrase tables and sentence templates; loaded from a JSON config."""
@@ -66,23 +75,30 @@ class Lexicon:
     templates: dict[str, str]
 
     def validate(self) -> None:
-        """Reject ambiguous phrase tables, and templates that are missing or
-        whose placeholders differ from :data:`TEMPLATE_FIELDS`."""
-        for label, table in (
-            ("regions", self.regions),
-            ("distances", self.distances),
-            ("topology", self.topology),
+        """Reject phrase tables that are ambiguous or miss a relation, story
+        wording that would split a sentence, and templates that are missing
+        or whose placeholders differ from :data:`TEMPLATE_FIELDS`."""
+        if set(self.directions) != set(ViewFrame):
+            raise ValueError("lexicon direction tables must cover every view")
+        bands = {b for scheme in DistanceScheme for b in distance_bands_for(scheme)}
+        for label, table, members in (
+            ("regions", self.regions, set(Region9)),
+            ("distances", self.distances, bands),
+            ("topology", self.topology, set(TopoWall)),
+            *((f"{view.value} direction", table, set(Direction9))
+              for view, table in self.directions.items()),
         ):
             if len(set(table.values())) != len(table):
                 raise ValueError(f"ambiguous {label} phrases in lexicon")
-        for view, table in self.directions.items():
-            if len(set(table.values())) != len(table):
-                raise ValueError(f"ambiguous {view.value} direction phrases")
-            if set(table) != set(Direction9):
-                raise ValueError(f"incomplete {view.value} direction table")
+            if set(table) != members:
+                raise ValueError(f"incomplete {label} table in lexicon")
+            for phrase in table.values():
+                _reject_sentence_break(f"{label} phrase", phrase)
         for name, expected in TEMPLATE_FIELDS.items():
             if name not in self.templates:
                 raise ValueError(f"lexicon template {name!r} is missing")
+            if not name.startswith("question_"):  # questions are never split
+                _reject_sentence_break(f"template {name!r}", self.templates[name])
             parsed = string.Formatter().parse(self.templates[name])
             found = sorted(f for _, f, _, _ in parsed if f is not None)
             if found != sorted(expected):

@@ -221,6 +221,20 @@ class TestEval:
             assert main(argv) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_repeated_instance_ids_exit_one_before_writing(self, tmp_path, capsys):
+        ds = run_generate(tmp_path)
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text(ds.read_text() * 2, encoding="utf-8")
+        records = tmp_path / "records.jsonl"
+        capsys.readouterr()
+        argv = [
+            "eval", "--dataset", str(doubled), "--stub", "random",
+            "--out", str(records),
+        ]
+        assert main(argv) == 1
+        assert "instance id 0 appears more than once" in capsys.readouterr().err
+        assert not records.exists()
+
     def test_endpoint_requires_key_before_reading_dataset(
         self, tmp_path, capsys, monkeypatch
     ):

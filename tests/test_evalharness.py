@@ -156,6 +156,18 @@ class TestRunEval:
                 assert rec.error is None
                 assert res.correct
 
+    def test_repeated_instance_id_fails_before_any_request(self):
+        instances = make_instances(QType.FR, count=3)
+        calls = []
+
+        def counting(inst, prompt):
+            calls.append(inst.id)
+            return ModelReply(text="north", latency=0.0)
+
+        with pytest.raises(ValueError, match="instance id 0 appears more than once"):
+            run_eval(instances + instances, counting, mode="count", concurrency=1)
+        assert calls == []
+
     def test_manifest_contents(self):
         instances = make_instances(QType.YN, count=4)
         run = run_eval(

@@ -16,7 +16,10 @@ from qsrbench.calculus import (
     GridCell,
     Region9,
     TopoWall,
+    direction_between_cells,
+    direction_holds_for_cells,
     distance_bands_for,
+    region_of_cell,
     relation_token,
 )
 from qsrbench.network import Binary, ConstraintNetwork, Unary
@@ -144,6 +147,17 @@ def test_antisymmetric_directions_unsat():
     assert out.n_solutions == 0
 
 
+def test_contradictory_pair_is_unsat_without_search():
+    n = net(
+        ["a", "b"],
+        binary=[Binary("a", Direction9.N, "b"), Binary("b", Direction9.N, "a")],
+        s=12,
+    )
+    out = solve(n)
+    assert out.verdict is Verdict.UNSAT
+    assert out.stats.nodes == 0
+
+
 def test_two_constraint_chain_sat():
     n = net(
         ["a", "b", "c"],
@@ -240,10 +254,14 @@ _KINDS = (
 )
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_solver_matches_brute_force_on_random_networks(seed):
+@pytest.mark.parametrize(
+    "seed, s",
+    [pytest.param(seed, 3, id=str(seed)) for seed in range(20)]
+    + [pytest.param(seed, 6, id=f"s6-{seed}") for seed in range(20)],
+)
+def test_solver_matches_brute_force_on_random_networks(seed, s):
     rng = random.Random(seed)
-    n_vars = rng.choice((2, 3))
+    n_vars = rng.choice((2, 3)) if s == 3 else 3
     names = [f"o{i}" for i in range(n_vars)]
     unary = []
     for name in names:
@@ -260,7 +278,7 @@ def test_solver_matches_brute_force_on_random_networks(seed):
                 sch = rng.choice(list(DistanceScheme))
                 band = rng.choice([b for b in Band if not (sch is DistanceScheme.D2 and b is Band.MEDIUM)])
                 binary.append(Binary(names[j], DistanceBand(sch, band), names[i]))
-    network = net(names, unary=unary, binary=binary)
+    network = net(names, unary=unary, binary=binary, s=s)
     fast = solve(network, solution_cap=None)
     oracle = brute_force_solve(network)
     assert fast.verdict is oracle.verdict
@@ -339,3 +357,151 @@ def test_feasible_directions_matches_brute_force_probe():
             is Verdict.SAT
         }
         assert fast == slow
+
+
+# --- exact point-algebra oracle at real sizes ---------------------------------------
+#
+# A direction fixes one sign per axis and a region is a product of per-axis
+# thirds, so a network of directions and region unaries (settings O2 and
+# Layout) splits into two independent problems over {0..s-1}: bounded points
+# related by =, < or >.  Merging = classes and raising each class to the
+# longest < path from the lower bounds gives the least solution, which
+# exists exactly when no class rises above its upper bound.
+
+_ORACLE_S = 12
+
+
+def _axis_signs(rel: Direction9) -> tuple[int, int]:
+    """(x sign, y sign) of subject minus reference, read off the calculus."""
+    origin = GridCell(1, 1)
+    return next(
+        (sx, sy)
+        for sx in (-1, 0, 1)
+        for sy in (-1, 0, 1)
+        if direction_holds_for_cells(rel, GridCell(1 + sx, 1 + sy), origin)
+    )
+
+
+def _region_bounds(rel: Region9, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    cells = [GridCell(i % s, i // s) for i in range(s * s)]
+    inside = [c for c in cells if check_unary(rel, c, s)]
+    xs = [c.col for c in inside]
+    ys = [c.row for c in inside]
+    return (min(xs), max(xs)), (min(ys), max(ys))
+
+
+def _axis_feasible(bounds: list[tuple[int, int]], relations: list[tuple[int, int, int]]) -> bool:
+    """Is there an integer point per variable within its bounds with
+    ``sign(p[i] - p[j]) == sign`` for every ``(i, sign, j)``?"""
+    parent = list(range(len(bounds)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, sign, j in relations:
+        if sign == 0:
+            parent[find(i)] = find(j)
+    low: dict[int, int] = {}
+    high: dict[int, int] = {}
+    for v, (lo, hi) in enumerate(bounds):
+        r = find(v)
+        low[r] = max(low.get(r, lo), lo)
+        high[r] = min(high.get(r, hi), hi)
+    before: list[tuple[int, int]] = []  # (smaller class, larger class)
+    for i, sign, j in relations:
+        if sign:
+            pair = (find(j), find(i)) if sign > 0 else (find(i), find(j))
+            if pair[0] == pair[1]:
+                return False
+            before.append(pair)
+    if any(low[r] > high[r] for r in low):
+        return False
+    # every raise is forced, so exceeding an upper bound (which a < cycle
+    # eventually does) proves infeasibility
+    changed = True
+    while changed:
+        changed = False
+        for a, b in before:
+            if low[a] + 1 > low[b]:
+                low[b] = low[a] + 1
+                if low[b] > high[b]:
+                    return False
+                changed = True
+    return True
+
+
+def _oracle_sat(network: ConstraintNetwork) -> bool:
+    s = network.s
+    x_bounds = [(0, s - 1)] * len(network.variables)
+    y_bounds = list(x_bounds)
+    for c in network.unary:
+        v = network.index_of(c.obj)
+        (xl, xh), (yl, yh) = _region_bounds(c.rel, s)
+        x_bounds[v] = (max(x_bounds[v][0], xl), min(x_bounds[v][1], xh))
+        y_bounds[v] = (max(y_bounds[v][0], yl), min(y_bounds[v][1], yh))
+    x_rel, y_rel = [], []
+    for c in network.binary:
+        sx, sy = _axis_signs(c.rel)
+        i, j = network.index_of(c.subject), network.index_of(c.reference)
+        x_rel.append((i, sx, j))
+        y_rel.append((i, sy, j))
+    return _axis_feasible(x_bounds, x_rel) and _axis_feasible(y_bounds, y_rel)
+
+
+@st.composite
+def axis_networks(draw):
+    """O2 or Layout networks at s=12 with 2..10 objects: directions (and
+    regions) read off random cells, some of them replaced by random ones so
+    that both verdicts occur; plus a query pair left unconstrained."""
+    s = _ORACLE_S
+    n = draw(st.integers(2, 10))
+    names = [f"o{i}" for i in range(n)]
+    cells = [GridCell(draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))) for _ in names]
+    noisy = st.integers(0, 5).map(lambda k: k == 0)
+    unary = []
+    if draw(st.booleans()):  # Layout
+        for name, cell in zip(names, cells):
+            region = draw(st.sampled_from(list(Region9))) if draw(noisy) else region_of_cell(cell, s)
+            unary.append(Unary(name, region))
+    ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
+    query = draw(st.sampled_from(ordered))
+    pairs = draw(st.lists(st.sampled_from(ordered), max_size=2 * n, unique=True))
+    binary = []
+    for i, j in pairs:
+        if (i, j) == query:
+            continue
+        rel = (
+            draw(st.sampled_from(list(Direction9)))
+            if draw(noisy)
+            else direction_between_cells(cells[i], cells[j])
+        )
+        binary.append(Binary(names[i], rel, names[j]))
+    network = net(names, unary=unary, binary=binary, s=s)
+    return network, (names[query[0]], names[query[1]])
+
+
+def test_point_algebra_oracle_pinned():
+    # a chain of three strict steps east needs four columns; the centre
+    # third of a 12-wide grid has only four
+    steps = [Binary(f"o{i + 1}", Direction9.E, f"o{i}") for i in range(3)]
+    centre = [Unary(f"o{i}", Region9.CR) for i in range(4)]
+    fits = net([f"o{i}" for i in range(4)], unary=centre, binary=steps, s=12)
+    assert _oracle_sat(fits) and solve(fits).verdict is Verdict.SAT
+    one_more = fits.extended(Binary("o0", Direction9.E, "o3"))
+    assert not _oracle_sat(one_more) and solve(one_more).verdict is Verdict.UNSAT
+
+
+@given(axis_networks())
+@settings(max_examples=60, deadline=None)
+def test_solver_matches_point_algebra_oracle(case):
+    network, pair = case
+    expected_sat = _oracle_sat(network)
+    assert (solve(network, solution_cap=1).verdict is Verdict.SAT) == expected_sat
+    expected = {
+        d for d in Direction9 if _oracle_sat(network.extended(Binary(pair[0], d, pair[1])))
+    }
+    assert feasible_directions(network, pair) == expected
+    if not expected_sat:
+        assert expected == set()

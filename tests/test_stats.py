@@ -19,7 +19,10 @@ from qsrbench.stats import (
     measure_cell,
     report_to_csv,
     run_sweeps,
+    time_cells,
 )
+
+import qsrbench.stats as stats
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +45,9 @@ def cell():
         view=ViewFrame.TOP_DOWN,
         qtype=QType.FR,
     )
-    return measure_cell(master_seed=2, rooms=6, config=cfg, sweep="n")
+    cell = measure_cell(master_seed=2, rooms=6, config=cfg, sweep="n")
+    time_cells([cell])
+    return cell
 
 
 class TestMeasureCell:
@@ -74,6 +79,28 @@ class TestMeasureCell:
         assert cell.count == 0
         assert cell.no_rate == 0.0
         assert cell.mean_time == 0.0
+
+
+class TestTimeCells:
+    def test_cells_are_timed_round_robin(self, monkeypatch):
+        cfg = GenConfig(
+            n=3, d=81, m=2, setting=Setting.O2, view=ViewFrame.TOP_DOWN, qtype=QType.FR
+        )
+        cells = [measure_cell(master_seed=s, rooms=3, config=cfg, sweep="n") for s in (2, 3)]
+        assert all(c.mean_time == 0.0 and len(c.networks) == 3 for c in cells)
+        owner = {id(nw): (k, i) for k, c in enumerate(cells) for i, nw in enumerate(c.networks)}
+        visits = []
+        solve = stats.solve
+
+        def recording(network, solution_cap=2):
+            visits.append(owner[id(network)])
+            return solve(network, solution_cap)
+
+        monkeypatch.setattr(stats, "solve", recording)
+        time_cells(cells)
+        one_pass = [(k, i) for i in range(3) for k in range(2)]
+        assert visits == one_pass * 3
+        assert all(c.mean_time > 0 and c.networks == [] for c in cells)
 
 
 class TestRunSweeps:

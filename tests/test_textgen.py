@@ -289,6 +289,43 @@ class TestLexiconValidation:
         with pytest.raises(ValueError, match="distance_suffix"):
             dataclasses.replace(lex, templates=templates).validate()
 
+    @pytest.mark.parametrize(
+        "table, missing",
+        [
+            ("regions", Region9.SR),
+            ("topology", TopoWall.NTPP),
+            ("distances", DistanceBand(DistanceScheme.D3, Band.MEDIUM)),
+        ],
+    )
+    def test_rejects_a_table_missing_a_member(self, table, missing):
+        lex = default_lexicon()
+        smaller = {k: v for k, v in getattr(lex, table).items() if k != missing}
+        with pytest.raises(ValueError, match=f"incomplete {table}"):
+            dataclasses.replace(lex, **{table: smaller}).validate()
+
+    def test_rejects_a_missing_view(self):
+        lex = default_lexicon()
+        top_down_only = {ViewFrame.TOP_DOWN: lex.directions[ViewFrame.TOP_DOWN]}
+        with pytest.raises(ValueError, match="every view"):
+            dataclasses.replace(lex, directions=top_down_only).validate()
+
+    def test_rejects_a_template_that_splits_a_sentence(self):
+        lex = default_lexicon()
+        templates = {**lex.templates, "perspective_opener": "Stand at the door. Look in."}
+        with pytest.raises(ValueError, match="perspective_opener"):
+            dataclasses.replace(lex, templates=templates).validate()
+
+    def test_rejects_a_phrase_that_splits_a_sentence(self):
+        lex = default_lexicon()
+        regions = {**lex.regions, Region9.CR: "centre. Really"}
+        with pytest.raises(ValueError, match="regions phrase"):
+            dataclasses.replace(lex, regions=regions).validate()
+
+    def test_question_templates_may_hold_several_sentences(self):
+        lex = default_lexicon()
+        question = "Consider {subject}. Where is it relative to {reference}? Options: {options}."
+        dataclasses.replace(lex, templates={**lex.templates, "question_fr": question}).validate()
+
 
 @pytest.mark.parametrize("view", list(ViewFrame))
 @pytest.mark.parametrize("setting", list(Setting))
