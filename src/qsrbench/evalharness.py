@@ -6,6 +6,7 @@ The API key is read from an environment variable at request time; only the
 """
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
@@ -85,8 +86,24 @@ class ModelReply:
     retries: int = 0
 
 
+#: Jitter for retry backoff, so concurrent workers do not retry in lockstep;
+#: seeded from the OS, apart from every stub's RNG.
+_backoff_rng = random.Random()
+
+
+def _retry_after(resp: requests.Response) -> float:
+    """Seconds a 429 response asks the client to wait; 0 unless a finite
+    positive number."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0  # absent, or an HTTP date
+    return seconds if 0 < seconds < math.inf else 0.0
+
+
 def query_model(endpoint: ModelEndpoint, prompt: str) -> ModelReply:
-    """POST one chat completion, retrying transient failures with backoff."""
+    """POST one chat completion, retrying transient failures with jittered
+    exponential backoff; a 429 waits at least its numeric ``Retry-After``."""
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     if endpoint.api_version:
         url += f"?api-version={endpoint.api_version}"
@@ -99,6 +116,7 @@ def query_model(endpoint: ModelEndpoint, prompt: str) -> ModelReply:
     last: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
         start = time.monotonic()
+        wait = 0.0
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout)
         except requests.RequestException as exc:
@@ -108,6 +126,7 @@ def query_model(endpoint: ModelEndpoint, prompt: str) -> ModelReply:
                 raise AuthError(f"endpoint rejected credentials ({resp.status_code})")
             if resp.status_code == 429:
                 last = RateLimitError("rate limited")
+                wait = _retry_after(resp)
             elif resp.status_code >= 500:
                 last = TransportError(f"server error {resp.status_code}")
             elif resp.status_code != 200:
@@ -121,7 +140,8 @@ def query_model(endpoint: ModelEndpoint, prompt: str) -> ModelReply:
                     text=text, latency=time.monotonic() - start, retries=attempt
                 )
         if attempt < endpoint.max_retries:
-            time.sleep(min(2.0**attempt * 0.5, 8.0))
+            backoff = min(2.0**attempt * 0.5, 8.0) * _backoff_rng.uniform(0.5, 1.0)
+            time.sleep(max(backoff, wait))
     raise last if last is not None else TransportError("request failed")
 
 

@@ -52,23 +52,35 @@ def grade_yn(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:
 
 
 def grade_fr(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:
-    flags: list[str] = []
-    if solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT:
-        flags.append("base-unsatisfiable")
+    """A solution of the answer's probe is a solution of the story, so a
+    satisfiable probe is correct without a base solve; the base solve runs
+    only to tell an unsatisfiable story apart from a wrong answer."""
+    probe_error: ValueError | None = None
+    if answer.direction is not None:
+        try:
+            probe = inst.network.extended(
+                Binary(inst.query.subject, answer.direction, inst.query.reference)
+            )
+        except ValueError as exc:
+            # the story already states a direction on the query pair, which
+            # only an unsatisfiable story may do (graded below)
+            probe_error = exc
+        else:
+            if solve(probe, solution_cap=1).verdict is Verdict.SAT:
+                return GradeResult(inst.id, True, answer)
+    base_unsat = solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT
+    flags = ("base-unsatisfiable",) if base_unsat else ()
     if answer.direction is None:
-        flags.append("unparseable")
-        return GradeResult(inst.id, False, answer, tuple(flags))
-    if "base-unsatisfiable" in flags:
+        return GradeResult(inst.id, False, answer, flags + ("unparseable",))
+    if base_unsat:
         # No direction is consistent with an unsatisfiable story; grade
         # against the continuous ground truth instead and leave the flag.
         return GradeResult(
-            inst.id, answer.direction is inst.gold_direction, answer, tuple(flags)
+            inst.id, answer.direction is inst.gold_direction, answer, flags
         )
-    probe = inst.network.extended(
-        Binary(inst.query.subject, answer.direction, inst.query.reference)
-    )
-    correct = solve(probe, solution_cap=1).verdict is Verdict.SAT
-    return GradeResult(inst.id, correct, answer, tuple(flags))
+    if probe_error is not None:
+        raise probe_error
+    return GradeResult(inst.id, False, answer, flags)
 
 
 def grade(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:

@@ -6,14 +6,17 @@ independent enumeration oracle), :func:`feasible_directions` /
 :func:`classify_query` (answer-level analysis of a query pair) and the
 constraint-tightness calculators.
 
-Domains are kept as integer bitmasks (bit ``row * s + col``).  The support
-of a variable from a neighbour's domain is the OR of that domain's partner
-masks, read from per-relation tables in 4-bit chunks, so AC-3 (Mackworth
-1977) runs at big-integer OR/AND speed and proves most Unsat probes without
-search.  Search determinism is part of the contract: variables are picked
-by highest degree among unassigned neighbours, then smallest live domain
-(after arc consistency), then smallest variable index; values are tried in
-row-major cell order.
+Domains are kept as integer bitmasks (bit ``row * s + col``).  Each pair of
+variables carries one constraint: the conjunction of every relation the
+network states on that pair, in either orientation, so its partner masks are
+the AND of theirs.  The support of a variable from a neighbour's domain is
+the OR of that domain's partner masks, read from per-conjunction tables in
+4-bit chunks, so AC-3 (Mackworth 1977) runs at big-integer OR/AND speed and
+proves most Unsat probes without search, including a direction and a
+distance band that no cell pair satisfies together.  Search determinism is
+part of the contract: variables are picked by highest degree among
+unassigned neighbours, then smallest live domain (after arc consistency),
+then smallest variable index; values are tried in row-major cell order.
 """
 from __future__ import annotations
 
@@ -190,24 +193,27 @@ def _partner_masks(rel: Relation, s: int) -> list[int]:
 
 
 class _Support(NamedTuple):
-    """Support of a binary relation's subject, given the reference's domain."""
+    """Support of a pair constraint's subject, given the reference's domain."""
 
-    masks: list[int]          # :func:`_partner_masks`, one per reference cell
+    masks: list[int]          # per reference cell, the AND of the relations' partner masks
     tables: list[list[int]]   # ``tables[k][b]``: OR of ``masks[4k + i]`` over bits i of b
     full: int                 # the support of the whole grid
 
 
-_support_cache: dict[tuple[str, int], _Support] = {}
+_support_cache: dict[tuple[tuple[Relation, ...], int], _Support] = {}
 
 
-def _support(rel: Relation, s: int) -> _Support:
-    """Partner masks of ``rel`` with their 4-bit chunk tables, cached under the
-    :func:`_partner_masks` key.  The support of a domain is then one lookup
-    per non-zero nibble; 8-bit chunks would take 8 times the memory."""
-    key = (relation_token(rel), s)
+def _support(rels: tuple[Relation, ...], s: int) -> _Support:
+    """Partner masks of the conjunction ``rels`` with their 4-bit chunk tables,
+    cached on the relation objects themselves, since a solve looks them up for
+    every pair.  The support of a domain is then one lookup per non-zero
+    nibble; 8-bit chunks would take 8 times the memory."""
+    key = (rels, s)
     support = _support_cache.get(key)
     if support is None:
-        masks = _partner_masks(rel, s)
+        masks = _partner_masks(rels[0], s)
+        for rel in rels[1:]:
+            masks = [m & other for m, other in zip(masks, _partner_masks(rel, s))]
         tables = []
         # two tables per byte of a domain, the last ones padded with 0
         for k in range(0, -(-len(masks) // 8) * 8, 4):
@@ -272,15 +278,26 @@ def _iter_bits(mask: int):
 
 
 def _arcs(network: ConstraintNetwork) -> list[tuple[int, int, _Support]]:
-    """Two arcs per binary constraint: arc ``2c`` revises constraint c's subject
-    from its reference, arc ``2c + 1`` the reference from the subject, so
-    ``a ^ 1`` is the reverse of arc ``a``.  Each is ``(revised, source, support)``."""
-    arcs = []
+    """Two arcs per constrained pair of variables, whose constraint conjoins
+    every relation stated on the pair; a relation stated in the reverse
+    orientation of the pair's first one is read through its inverse.  Arc
+    ``2p`` revises pair p's subject from its reference, arc ``2p + 1`` the
+    reference from the subject, so ``a ^ 1`` is the reverse of arc ``a``.
+    Each is ``(revised, source, support)``."""
+    index = {name: i for i, name in enumerate(network.variables)}
+    pairs: dict[tuple[int, int], list[Relation]] = {}
     for c in network.binary:
-        si = network.index_of(c.subject)
-        ri = network.index_of(c.reference)
-        arcs.append((si, ri, _support(c.rel, network.s)))
-        arcs.append((ri, si, _support(_inverse_rel(c.rel), network.s)))
+        si = index[c.subject]
+        ri = index[c.reference]
+        reverse = pairs.get((ri, si))
+        if reverse is not None:
+            reverse.append(_inverse_rel(c.rel))
+        else:
+            pairs.setdefault((si, ri), []).append(c.rel)
+    arcs = []
+    for (si, ri), rels in pairs.items():
+        arcs.append((si, ri, _support(tuple(rels), network.s)))
+        arcs.append((ri, si, _support(tuple(map(_inverse_rel, rels)), network.s)))
     return arcs
 
 
@@ -309,8 +326,7 @@ def _arc_consistent(
     """AC-3: narrow ``live`` in place until every cell left has a partner in
     each neighbour's domain; False when a domain empties.  A narrowed
     variable requeues the arcs it is the source of, except the reverse of
-    the arc that narrowed it, whose support cannot have changed (a second
-    constraint on the same pair has arcs of its own)."""
+    the arc that narrowed it, whose support cannot have changed."""
     queue = deque(range(len(arcs)))
     queued = bytearray(b"\x01" * len(arcs))
     while queue:
@@ -413,9 +429,7 @@ def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutc
                 if search():
                     return True
                 live[v] = saved
-            # reverse order: a neighbour constrained twice (direction and
-            # distance on one pair) appears twice; the first snapshot must win
-            for (u, old) in reversed(pruned):
+            for (u, old) in pruned:
                 live[u] = old
             assigned[v] = -1
             stats.backtracks += 1

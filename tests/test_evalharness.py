@@ -196,10 +196,11 @@ class TestRunEval:
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, malformed=False):
+    def __init__(self, status_code, payload=None, malformed=False, headers=None):
         self.status_code = status_code
         self._payload = payload
         self._malformed = malformed
+        self.headers = headers or {}
 
     def json(self):
         if self._malformed:
@@ -338,6 +339,65 @@ class TestQueryModel:
         with pytest.raises(AuthError):
             query_model(endpoint, "q")
         assert calls == []
+
+    @pytest.fixture()
+    def waits(self, endpoint, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        return slept
+
+    @staticmethod
+    def respond_with(monkeypatch, responses):
+        queue = list(responses)
+        monkeypatch.setattr(eh.requests, "post", lambda url, **kw: queue.pop(0))
+
+    def test_rate_limit_waits_at_least_retry_after(self, endpoint, waits, monkeypatch):
+        self.respond_with(monkeypatch, [
+            FakeResponse(429, headers={"Retry-After": "7"}),
+            FakeResponse(429, headers={"Retry-After": "0.25"}),
+            FakeResponse(200, completion("North.")),
+        ])
+        assert query_model(endpoint, "q").retries == 2
+        assert waits[0] >= 7
+        assert 0.5 <= waits[1] <= 1.0  # the backoff is longer than 0.25 s
+
+    def test_non_numeric_retry_after_falls_back_to_backoff(self, endpoint, waits, monkeypatch):
+        headers = [{"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, {"Retry-After": "nan"}, {}]
+        self.respond_with(
+            monkeypatch,
+            [FakeResponse(429, headers=h) for h in headers] + [FakeResponse(200, completion("ok"))],
+        )
+        query_model(endpoint, "q")
+        for attempt, wait in enumerate(waits):
+            assert 0.5 * 0.5 * 2**attempt <= wait <= 0.5 * 2**attempt
+
+    def test_backoff_is_jittered(self, endpoint, waits, monkeypatch):
+        ep = ModelEndpoint(base_url=endpoint.base_url, model="demo", max_retries=12)
+        self.respond_with(monkeypatch, [FakeResponse(503)] * 13)
+        with pytest.raises(TransportError):
+            query_model(ep, "q")
+        assert len(waits) == 12
+        for attempt, wait in enumerate(waits):
+            base = min(2.0**attempt * 0.5, 8.0)
+            assert 0.5 * base <= wait <= base
+        # the waits capped at 8 s still differ from one another
+        assert len(set(waits[5:])) > 1
+
+    def test_jitter_draws_from_neither_the_stubs_nor_the_global_rng(
+        self, endpoint, waits, monkeypatch
+    ):
+        instances = make_instances(QType.FR, count=6)
+        reference, stub = random_stub(seed=5), random_stub(seed=5)
+        expected = [reference(inst, "").text for inst in instances]
+        state = eh.random.getstate()
+        replies = []
+        for inst in instances:
+            self.respond_with(monkeypatch, [FakeResponse(503), FakeResponse(200, completion("ok"))])
+            query_model(endpoint, "q")
+            replies.append(stub(inst, "").text)
+        assert replies == expected
+        assert eh.random.getstate() == state
+        assert len(waits) == len(instances)
 
 
 class TestSecretHygiene:

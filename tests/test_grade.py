@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import io
 
+import sys
+
 import pytest
 
 from qsrbench.calculus import Direction9, ViewFrame
@@ -121,6 +123,44 @@ class TestGradeFR:
         res2 = grade_fr(broken, ParsedAnswer(direction=wrong, raw=""))
         assert "base-unsatisfiable" in res2.flags
         assert not res2.correct
+
+    def test_probe_first_matches_base_then_probe(self, fr_instances, unsat_fr_instance):
+        # the grade of every answer equals the one a base solve followed by
+        # the answer's probe gives
+        def reference(inst, direction):
+            flags = ()
+            base_sat = solve(inst.network, solution_cap=1).verdict is Verdict.SAT
+            if not base_sat:
+                flags += ("base-unsatisfiable",)
+            if direction is None:
+                return False, flags + ("unparseable",)
+            if not base_sat:
+                return direction is inst.gold_direction, flags
+            probe = inst.network.extended(
+                Binary(inst.query.subject, direction, inst.query.reference)
+            )
+            return solve(probe, solution_cap=1).verdict is Verdict.SAT, flags
+
+        for inst in (*fr_instances, unsat_fr_instance):
+            for direction in (*Direction9, None):
+                res = grade_fr(inst, ParsedAnswer(direction=direction, raw=""))
+                assert (res.correct, res.flags) == reference(inst, direction)
+
+    def test_satisfiable_probe_skips_the_base_solve(self, fr_instances, monkeypatch):
+        calls = []
+
+        def counting_solve(network, solution_cap=2):
+            calls.append(network)
+            return solve(network, solution_cap)
+
+        # the package attribute ``qsrbench.grade`` is the re-exported function
+        monkeypatch.setattr(sys.modules["qsrbench.grade"], "solve", counting_solve)
+        inst = next(
+            i for i in fr_instances
+            if solve(i.network, solution_cap=1).verdict is Verdict.SAT
+        )
+        assert grade_fr(inst, ParsedAnswer(direction=inst.gold_direction, raw="")).correct
+        assert len(calls) == 1
 
     def test_accepted_directions_matches_grading(self, fr_instances, unsat_fr_instance):
         for inst in (fr_instances[0], unsat_fr_instance):

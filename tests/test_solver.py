@@ -1,8 +1,10 @@
 """Grid-CSP solver: verdicts, exact counts, query analysis."""
 from __future__ import annotations
 
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from qsrbench.calculus import (
     TopoWall,
     direction_between_cells,
     direction_holds_for_cells,
+    distance_band_between_cells,
     distance_bands_for,
     region_of_cell,
     relation_token,
@@ -27,6 +30,7 @@ from qsrbench.solver import (
     CountClass,
     InstanceTooLarge,
     Verdict,
+    _arcs,
     _partner_masks,
     _unary_mask,
     brute_force_solve,
@@ -95,6 +99,39 @@ def test_unary_mask_matches_check_unary(s):
             assert bool(mask >> i & 1) == check_unary(rel, GridCell(i % s, i // s), s)
 
 
+@functools.cache
+def _holds(rel, s):
+    """``holds[a, b]``: does ``(cell a, rel, cell b)`` hold, cell by cell."""
+    cells = [GridCell(i % s, i // s) for i in range(s * s)]
+    return np.array([[check_binary(rel, ca, cb, s) for cb in cells] for ca in cells])
+
+
+def _column_masks(holds):
+    """``masks[j]``: the rows i with ``holds[i, j]``, as a bitmask."""
+    return [sum(1 << int(i) for i in np.flatnonzero(column)) for column in holds.T]
+
+
+@pytest.mark.parametrize("s", [3, 6, 9, 12])
+def test_pair_constraint_masks_are_the_conjunction(s):
+    # every relation stated on a pair, in either orientation, lands in one
+    # constraint whose partner masks are the per-cell-pair AND
+    bands = [b for scheme in DistanceScheme for b in distance_bands_for(scheme)]
+    cases = (
+        [[Binary("a", d, "b"), Binary("a", band, "b")] for d in Direction9 for band in bands]
+        + [[Binary("a", band, "b"), Binary("b", d, "a")] for d in Direction9 for band in bands]
+        + [[Binary("a", d, "b"), Binary("b", e, "a")] for d in Direction9 for e in Direction9]
+    )
+    for binary in cases:
+        holds = np.ones((s * s, s * s), dtype=bool)
+        for c in binary:
+            table = _holds(c.rel, s)
+            holds &= table if c.subject == "a" else table.T
+        arcs = _arcs(net(["a", "b"], binary=binary, s=s))
+        assert [(x, y) for x, y, _ in arcs] == [(0, 1), (1, 0)]
+        assert arcs[0][2].masks == _column_masks(holds)
+        assert arcs[1][2].masks == _column_masks(holds.T)
+
+
 # --- unary propagation ----------------------------------------------------------
 
 
@@ -158,6 +195,16 @@ def test_contradictory_pair_is_unsat_without_search():
     assert out.stats.nodes == 0
 
 
+def test_empty_direction_and_band_conjunction_is_unsat_without_search():
+    # each relation alone has support everywhere on the pair; only their
+    # conjunction is empty, which arc consistency sees on one constraint
+    far = DistanceBand(DistanceScheme.D2, Band.FAR)
+    n = net(["a", "b"], binary=[Binary("a", Direction9.O, "b"), Binary("a", far, "b")], s=12)
+    out = solve(n)
+    assert out.verdict is Verdict.UNSAT
+    assert out.stats.nodes == 0
+
+
 def test_two_constraint_chain_sat():
     n = net(
         ["a", "b", "c"],
@@ -197,9 +244,8 @@ def test_stats_count_work():
 
 
 def test_stacked_pair_constraints_exact_count():
-    # direction + distance on the same pair makes the same neighbour appear
-    # twice in the forward-checking prune list; domains must restore cleanly
-    # when the search backtracks through that variable
+    # direction + distance on two pairs, each conjoined into one constraint;
+    # domains must restore cleanly when the search backtracks through them
     close = DistanceBand(DistanceScheme.D2, Band.CLOSE)
     n = net(
         ["a", "b", "c"],
@@ -255,11 +301,13 @@ _KINDS = (
 
 
 @pytest.mark.parametrize(
-    "seed, s",
-    [pytest.param(seed, 3, id=str(seed)) for seed in range(20)]
-    + [pytest.param(seed, 6, id=f"s6-{seed}") for seed in range(20)],
+    "seed, s, reverse",
+    [pytest.param(seed, 3, False, id=str(seed)) for seed in range(20)]
+    + [pytest.param(seed, 6, False, id=f"s6-{seed}") for seed in range(20)]
+    + [pytest.param(seed, 3, True, id=f"rev-{seed}") for seed in range(20)]
+    + [pytest.param(seed, 6, True, id=f"rev-s6-{seed}") for seed in range(10)],
 )
-def test_solver_matches_brute_force_on_random_networks(seed, s):
+def test_solver_matches_brute_force_on_random_networks(seed, s, reverse):
     rng = random.Random(seed)
     n_vars = rng.choice((2, 3)) if s == 3 else 3
     names = [f"o{i}" for i in range(n_vars)]
@@ -278,6 +326,19 @@ def test_solver_matches_brute_force_on_random_networks(seed, s):
                 sch = rng.choice(list(DistanceScheme))
                 band = rng.choice([b for b in Band if not (sch is DistanceScheme.D2 and b is Band.MEDIUM)])
                 binary.append(Binary(names[j], DistanceBand(sch, band), names[i]))
+    if reverse and binary:
+        # a second constraint on a constrained pair, stated the other way
+        # round: true of the first solution when there is one, else random
+        c = rng.choice(binary)
+        kind, rel = rng.choice(_KINDS)
+        first = brute_force_solve(net(names, unary=unary, binary=binary, s=s)).first_solution
+        if first is not None:
+            cells = (first[c.reference], first[c.subject])
+            if kind == "dir":
+                rel = direction_between_cells(*cells)
+            else:
+                rel = distance_band_between_cells(*cells, s, rel.scheme)
+        binary.append(Binary(c.reference, rel, c.subject))
     network = net(names, unary=unary, binary=binary, s=s)
     fast = solve(network, solution_cap=None)
     oracle = brute_force_solve(network)
