@@ -17,7 +17,7 @@ from .dataio import read_dataset, write_dataset
 from .grade import GradeResult, Metrics, ParsedAnswer, aggregate, grade
 from .netgen import BenchmarkInstance, GenConfig, QType, QuerySpec, Setting, generate_dataset
 from .network import Binary, ConstraintNetwork, Unary
-from .solver import Verdict, brute_force_solve, classify_query, feasible_directions, solve
+from .solver import Verdict, brute_force_solve, feasible_directions, solve
 from .stats import StatsReport, run_sweeps
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "ViewFrame",
     "aggregate",
     "brute_force_solve",
-    "classify_query",
     "feasible_directions",
     "generate_dataset",
     "grade",

@@ -13,6 +13,8 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from datetime import timezone
+from email.utils import parsedate_to_datetime
 from typing import Callable, Protocol
 
 import requests
@@ -92,18 +94,26 @@ _backoff_rng = random.Random()
 
 
 def _retry_after(resp: requests.Response) -> float:
-    """Seconds a 429 response asks the client to wait; 0 unless a finite
-    positive number."""
+    """Seconds a 429 response asks the client to wait: its ``Retry-After``
+    as a number of seconds or as an HTTP date, from now; 0 unless that is
+    finite and positive."""
+    value = resp.headers.get("Retry-After", "")
     try:
-        seconds = float(resp.headers.get("Retry-After", ""))
+        seconds = float(value)
     except ValueError:
-        return 0.0  # absent, or an HTTP date
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return 0.0  # absent or malformed
+        if when.tzinfo is None:  # a "-0000" zone; HTTP dates are in GMT
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = when.timestamp() - time.time()
     return seconds if 0 < seconds < math.inf else 0.0
 
 
 def query_model(endpoint: ModelEndpoint, prompt: str) -> ModelReply:
     """POST one chat completion, retrying transient failures with jittered
-    exponential backoff; a 429 waits at least its numeric ``Retry-After``."""
+    exponential backoff; a 429 waits at least its ``Retry-After``."""
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     if endpoint.api_version:
         url += f"?api-version={endpoint.api_version}"

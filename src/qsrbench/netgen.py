@@ -46,7 +46,7 @@ from .scene import (
     extract_unary,
     sample_scene,
 )
-from .solver import Verdict, solve
+from .solver import Verdict, arc_fixpoint, solve
 from .textgen import Lexicon, default_lexicon, render_question, render_story
 
 
@@ -242,18 +242,21 @@ def _attempt_build(
     reference = objects[qb]
     gold = direction_between(subject.center, reference.center, config.eps)
 
+    # every solve below starts from the story's one arc-consistent fixpoint
+    story = arc_fixpoint(network)
+
     if config.qtype is QType.FR:
-        base_sat = solve(network, solution_cap=1).verdict is Verdict.SAT
+        base_sat = solve(network, solution_cap=1, base=story).verdict is Verdict.SAT
         if base_sat:
             with_gold = network.extended(Binary(subject.name, gold, reference.name))
-            if solve(with_gold, solution_cap=1).verdict is Verdict.UNSAT:
+            if solve(with_gold, solution_cap=1, base=story).verdict is Verdict.UNSAT:
                 return "gold-direction-infeasible"
         query = QuerySpec(subject.name, reference.name, QType.FR)
         return network, query, gold
 
     if want_yes:
         with_gold = network.extended(Binary(subject.name, gold, reference.name))
-        if solve(with_gold, solution_cap=1).verdict is Verdict.UNSAT:
+        if solve(with_gold, solution_cap=1, base=story).verdict is Verdict.UNSAT:
             return "yes-candidate-inconsistent"
         query = QuerySpec(subject.name, reference.name, QType.YN, gold, "Yes")
         return network, query, gold
@@ -262,7 +265,7 @@ def _attempt_build(
     rng.shuffle(order)
     for candidate in order:
         probe = network.extended(Binary(subject.name, candidate, reference.name))
-        if solve(probe, solution_cap=1).verdict is Verdict.UNSAT:
+        if solve(probe, solution_cap=1, base=story).verdict is Verdict.UNSAT:
             query = QuerySpec(subject.name, reference.name, QType.YN, candidate, "No")
             return network, query, gold
     return "no-infeasible-direction"

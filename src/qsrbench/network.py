@@ -7,7 +7,8 @@ this order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Collection
+from dataclasses import dataclass
 
 from .calculus import (
     Direction9,
@@ -77,19 +78,7 @@ class ConstraintNetwork:
                 raise ValueError(f"duplicate unary {_relation_kind(c.rel)} constraint on {c.obj!r}")
             seen_pairs.add(key)
         for c in self.binary:
-            if c.subject not in known or c.reference not in known:
-                raise ValueError(f"binary constraint on unknown object in {c!r}")
-            if c.subject == c.reference:
-                raise ValueError(f"binary constraint relates {c.subject!r} to itself")
-            # same orientation + kind twice is a generator bug; the reverse
-            # orientation is a distinct (possibly contradictory) constraint
-            key = (c.subject, c.reference, _relation_kind(c.rel))
-            if key in seen_pairs:
-                raise ValueError(
-                    f"duplicate {_relation_kind(c.rel)} constraint on "
-                    f"({c.subject!r}, {c.reference!r})"
-                )
-            seen_pairs.add(key)
+            _check_binary(c, known, seen_pairs)
 
     @property
     def d(self) -> int:
@@ -102,5 +91,41 @@ class ConstraintNetwork:
         return {frozenset((c.subject, c.reference)) for c in self.binary}
 
     def extended(self, extra: Binary) -> "ConstraintNetwork":
-        """New network with one more binary constraint (used for probing)."""
-        return replace(self, binary=self.binary + (extra,))
+        """New network with one more binary constraint (used for probing).
+
+        Only ``extra`` is checked: the rest was checked when this network
+        was built, so the new one skips ``__init__`` and its checks.
+        """
+        _check_binary(
+            extra,
+            self.variables,
+            {
+                (c.subject, c.reference, _relation_kind(c.rel))
+                for c in self.binary
+                if c.subject == extra.subject and c.reference == extra.reference
+            },
+        )
+        out = object.__new__(ConstraintNetwork)
+        out.__dict__.update(self.__dict__, binary=self.binary + (extra,))
+        return out
+
+
+def _check_binary(
+    c: Binary, known: Collection[str], seen: set[tuple[str, str, str]]
+) -> None:
+    """Reject a binary constraint on an unknown object, on one object, or
+    of a kind ``seen`` already holds in the same orientation; else add it
+    to ``seen``."""
+    if c.subject not in known or c.reference not in known:
+        raise ValueError(f"binary constraint on unknown object in {c!r}")
+    if c.subject == c.reference:
+        raise ValueError(f"binary constraint relates {c.subject!r} to itself")
+    # same orientation + kind twice is a generator bug; the reverse
+    # orientation is a distinct (possibly contradictory) constraint
+    key = (c.subject, c.reference, _relation_kind(c.rel))
+    if key in seen:
+        raise ValueError(
+            f"duplicate {_relation_kind(c.rel)} constraint on "
+            f"({c.subject!r}, {c.reference!r})"
+        )
+    seen.add(key)

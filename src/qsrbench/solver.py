@@ -1,9 +1,11 @@
 """Consistency checking on the cell grid.
 
 The main entry points are :func:`solve` (an arc-consistency pass, then
-backtracking search with forward checking), :func:`brute_force_solve` (an
-independent enumeration oracle), :func:`feasible_directions` /
-:func:`classify_query` (answer-level analysis of a query pair) and the
+backtracking search with forward checking), :func:`arc_fixpoint` (the
+arc-consistent state of a network, which solves of networks that add
+binary constraints to it start from), :func:`brute_force_solve` (an
+independent enumeration oracle), :func:`probe_directions` /
+:func:`feasible_directions` (answer-level analysis of a query pair) and the
 constraint-tightness calculators.
 
 Domains are kept as integer bitmasks (bit ``row * s + col``).  Each pair of
@@ -13,7 +15,10 @@ the AND of theirs.  The support of a variable from a neighbour's domain is
 the OR of that domain's partner masks, read from per-conjunction tables in
 4-bit chunks, so AC-3 (Mackworth 1977) runs at big-integer OR/AND speed and
 proves most Unsat probes without search, including a direction and a
-distance band that no cell pair satisfies together.  Search determinism is
+distance band that no cell pair satisfies together.  A constraint added to
+a network can only shrink domains, so a probe that adds one to a story
+starts from the story's fixpoint and propagates only its own pair's two
+arcs (Bessière 2006, incremental arc consistency).  Search determinism is
 part of the contract: variables are picked by highest degree among
 unassigned neighbours, then smallest live domain (after arc consistency),
 then smallest variable index; values are tried in row-major cell order.
@@ -58,17 +63,13 @@ class Verdict(Enum):
     UNSAT = "Unsat"
 
 
-class CountClass(Enum):
-    NO = "No"
-    SINGLE = "Single"
-    MULTIPLE = "Multiple"
-
-
 @dataclass
 class SolveStats:
     nodes: int = 0        # tentative assignments tried
     backtracks: int = 0   # tentative assignments retracted
-    elapsed: float = 0.0  # wall-clock seconds of propagation plus search
+    # wall-clock seconds of arc consistency plus search, without table
+    # construction; from a fixpoint, only the added arcs' propagation counts
+    elapsed: float = 0.0
 
 
 @dataclass
@@ -78,22 +79,6 @@ class SolveOutcome:
     exhausted: bool
     first_solution: dict[str, GridCell] | None
     stats: SolveStats
-
-    @property
-    def count_class(self) -> CountClass | None:
-        """Assignment-level solution class.
-
-        ``None`` when the cap stopped the search at a single solution, in
-        which case one vs many is genuinely undecided; callers that need the
-        distinction should search with a cap of at least 2.
-        """
-        if self.verdict is Verdict.UNSAT:
-            return CountClass.NO
-        if self.n_solutions == 1 and self.exhausted:
-            return CountClass.SINGLE
-        if self.n_solutions >= 2:
-            return CountClass.MULTIPLE
-        return None
 
 
 class InstanceTooLarge(Exception):
@@ -195,6 +180,7 @@ def _partner_masks(rel: Relation, s: int) -> list[int]:
 class _Support(NamedTuple):
     """Support of a pair constraint's subject, given the reference's domain."""
 
+    rels: tuple[Relation, ...]  # the conjoined relations, subject first
     masks: list[int]          # per reference cell, the AND of the relations' partner masks
     tables: list[list[int]]   # ``tables[k][b]``: OR of ``masks[4k + i]`` over bits i of b
     full: int                 # the support of the whole grid
@@ -226,7 +212,7 @@ def _support(rels: tuple[Relation, ...], s: int) -> _Support:
         full = 0
         for m in masks:
             full |= m
-        support = _support_cache[key] = _Support(masks, tables, full)
+        support = _support_cache[key] = _Support(rels, masks, tables, full)
     return support
 
 
@@ -237,24 +223,7 @@ def _inverse_rel(rel: Relation) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# unary propagation
-
-
-def propagate_unary(network: ConstraintNetwork) -> dict[str, frozenset[GridCell]]:
-    """Per-variable live cells after applying all unary constraints.
-
-    A variable with no unary constraints keeps the full grid.  Empty sets are
-    returned as-is; :func:`solve` treats them as an immediate Unsat.
-    """
-    masks = _live_masks(network)
-    s = network.s
-    out: dict[str, frozenset[GridCell]] = {}
-    for name, mask in zip(network.variables, masks):
-        cells = frozenset(
-            GridCell(i % s, i // s) for i in range(s * s) if mask >> i & 1
-        )
-        out[name] = cells
-    return out
+# unary filtering
 
 
 def _live_masks(network: ConstraintNetwork) -> list[int]:
@@ -277,28 +246,44 @@ def _iter_bits(mask: int):
 # arc consistency and backtracking search
 
 
-def _arcs(network: ConstraintNetwork) -> list[tuple[int, int, _Support]]:
+_Arc = tuple[int, int, _Support]
+
+
+def _pair_key(
+    pairs: dict[tuple[int, int], object], si: int, rel: Relation, ri: int
+) -> tuple[tuple[int, int], Relation]:
+    """The key under which ``(si, rel, ri)`` joins ``pairs``, and ``rel`` as
+    read in that key's orientation: a pair already stated the other way
+    round keeps its key and takes the inverse relation."""
+    if (ri, si) in pairs:
+        return (ri, si), _inverse_rel(rel)
+    return (si, ri), rel
+
+
+def _arc_pair(pair: tuple[int, int], rels: tuple[Relation, ...], s: int) -> list[_Arc]:
+    x, y = pair
+    return [(x, y, _support(rels, s)), (y, x, _support(tuple(map(_inverse_rel, rels)), s))]
+
+
+def _arcs(network: ConstraintNetwork) -> tuple[list[_Arc], dict[tuple[int, int], int]]:
     """Two arcs per constrained pair of variables, whose constraint conjoins
     every relation stated on the pair; a relation stated in the reverse
     orientation of the pair's first one is read through its inverse.  Arc
     ``2p`` revises pair p's subject from its reference, arc ``2p + 1`` the
     reference from the subject, so ``a ^ 1`` is the reverse of arc ``a``.
-    Each is ``(revised, source, support)``."""
+    Each is ``(revised, source, support)``.  Also returns each pair's
+    ``(subject, reference)`` mapped to its arc ``2p``."""
     index = {name: i for i, name in enumerate(network.variables)}
-    pairs: dict[tuple[int, int], list[Relation]] = {}
+    rels_of: dict[tuple[int, int], list[Relation]] = {}
     for c in network.binary:
-        si = index[c.subject]
-        ri = index[c.reference]
-        reverse = pairs.get((ri, si))
-        if reverse is not None:
-            reverse.append(_inverse_rel(c.rel))
-        else:
-            pairs.setdefault((si, ri), []).append(c.rel)
-    arcs = []
-    for (si, ri), rels in pairs.items():
-        arcs.append((si, ri, _support(tuple(rels), network.s)))
-        arcs.append((ri, si, _support(tuple(map(_inverse_rel, rels)), network.s)))
-    return arcs
+        key, rel = _pair_key(rels_of, index[c.subject], c.rel, index[c.reference])
+        rels_of.setdefault(key, []).append(rel)
+    arcs: list[_Arc] = []
+    pairs: dict[tuple[int, int], int] = {}
+    for key, rels in rels_of.items():
+        pairs[key] = len(arcs)
+        arcs += _arc_pair(key, tuple(rels), network.s)
+    return arcs, pairs
 
 
 def _supported(support: _Support, domain: int, full: int) -> int:
@@ -319,16 +304,21 @@ def _supported(support: _Support, domain: int, full: int) -> int:
 
 def _arc_consistent(
     live: list[int],
-    arcs: list[tuple[int, int, _Support]],
+    arcs: list[_Arc],
     watchers: list[list[int]],
     full: int,
+    queue: deque[int],
 ) -> bool:
-    """AC-3: narrow ``live`` in place until every cell left has a partner in
-    each neighbour's domain; False when a domain empties.  A narrowed
-    variable requeues the arcs it is the source of, except the reverse of
-    the arc that narrowed it, whose support cannot have changed."""
-    queue = deque(range(len(arcs)))
-    queued = bytearray(b"\x01" * len(arcs))
+    """AC-3 from the arcs in ``queue``: narrow ``live`` in place until every
+    cell left has a partner in each neighbour's domain; False when a domain
+    empties.  A narrowed variable requeues the arcs it is the source of,
+    except the reverse of the arc that narrowed it, whose support cannot
+    have changed.  Queueing every arc gives the fixpoint of ``live``;
+    queueing only the arcs of constraints added to a fixpoint gives the
+    same result, because an added constraint can only shrink domains."""
+    queued = bytearray(len(arcs))
+    for a in queue:
+        queued[a] = 1
     while queue:
         a = queue.popleft()
         queued[a] = 0
@@ -345,13 +335,97 @@ def _arc_consistent(
     return True
 
 
-def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutcome:
+class Fixpoint(NamedTuple):
+    """A network after unary filtering and arc consistency: the start of
+    every :func:`solve` of it or of a network that adds binary constraints
+    to it.  Built per story by the caller that probes it; nothing keeps it."""
+
+    network: ConstraintNetwork
+    live: list[int]                      # domains at the fixpoint
+    consistent: bool                     # False when a domain emptied
+    arcs: list[_Arc]                     # as :func:`_arcs` builds them,
+    pairs: dict[tuple[int, int], int]    # with each pair's first arc
+    watchers: list[list[int]]            # per variable, the arcs whose source it is
+    elapsed: float                       # seconds of the arc-consistency pass
+
+
+def arc_fixpoint(network: ConstraintNetwork) -> Fixpoint:
+    """Filter each domain by its unary constraints, then run AC-3 over every
+    arc of ``network``; table construction is not timed."""
+    live = _live_masks(network)
+    arcs, pairs = _arcs(network)
+    watchers: list[list[int]] = [[] for _ in network.variables]
+    for a, (_, y, _) in enumerate(arcs):
+        watchers[y].append(a)
+    start = time.perf_counter()
+    consistent = all(live) and _arc_consistent(
+        live, arcs, watchers, (1 << network.d) - 1, deque(range(len(arcs)))
+    )
+    elapsed = time.perf_counter() - start
+    return Fixpoint(network, live, consistent, arcs, pairs, watchers, elapsed)
+
+
+def _with_added(
+    base: Fixpoint, added: tuple[Binary, ...]
+) -> tuple[list[_Arc], list[list[int]], deque[int]]:
+    """The arcs and watchers of ``base.network`` plus the constraints
+    ``added``, and the arcs those touch.  A constraint on a pair ``base``
+    already constrains, in either orientation, is conjoined into the pair's
+    two arcs; one on a new pair appends two arcs.  Either way the arcs are
+    those :func:`_arcs` builds for the whole network."""
+    if not added:
+        return base.arcs, base.watchers, deque()
+    variables = base.network.variables
+    s = base.network.s
+    arcs = list(base.arcs)
+    watchers = list(base.watchers)
+    pairs = dict(base.pairs)
+    touched: deque[int] = deque()
+    for c in added:
+        key, rel = _pair_key(pairs, variables.index(c.subject), c.rel, variables.index(c.reference))
+        a = pairs.get(key)
+        if a is None:
+            a = pairs[key] = len(arcs)
+            arcs += (None, None)
+            x, y = key
+            watchers[y] = watchers[y] + [a]
+            watchers[x] = watchers[x] + [a + 1]
+            rels = (rel,)
+        else:
+            rels = arcs[a][2].rels + (rel,)
+        arcs[a : a + 2] = _arc_pair(key, rels, s)
+        touched += (a, a + 1)
+    return arcs, watchers, touched
+
+
+def _extends(base: ConstraintNetwork, network: ConstraintNetwork) -> bool:
+    """Does ``network`` state everything ``base`` does, adding only binary
+    constraints at the end?"""
+    k = len(base.binary)
+    return (
+        network.variables == base.variables
+        and network.unary == base.unary
+        and network.s == base.s
+        and network.binary[:k] == base.binary
+    )
+
+
+def solve(
+    network: ConstraintNetwork,
+    solution_cap: int | None = 2,
+    base: Fixpoint | None = None,
+) -> SolveOutcome:
     """Search for grid assignments satisfying every constraint.
 
-    An arc-consistency pass (AC-3) first narrows every domain to the cells
-    with a partner in each neighbour's domain; a domain it empties proves
-    Unsat without search (0 nodes).  Backtracking search with forward
-    checking then runs on the narrowed domains.
+    The search starts from an arc-consistent fixpoint: that of ``network``
+    itself when ``base`` is None, else ``base`` (the fixpoint of a network
+    that ``network`` extends by binary constraints only) with the added
+    constraints' arcs propagated.  A domain emptied by arc consistency
+    proves Unsat without search (0 nodes).  Backtracking search with
+    forward checking then runs on the narrowed domains; its verdict, counts
+    and first solution do not depend on whether ``base`` was given.
+    ``stats.elapsed`` covers the propagation and the search, so from a
+    ``base`` it leaves out the base's own pass.
 
     ``solution_cap`` bounds how many solutions are counted before stopping;
     ``None`` lifts the cap, producing an exact count.  The first solution
@@ -359,22 +433,22 @@ def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutc
     """
     if solution_cap is not None and solution_cap < 1:
         raise ValueError("solution_cap must be at least 1")
+    stats = SolveStats()
+    if base is None:
+        base = arc_fixpoint(network)
+        stats.elapsed = base.elapsed
+    elif not _extends(base.network, network):
+        raise ValueError("base is not the fixpoint of a network this one extends")
+    if not base.consistent:
+        return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
     n = len(network.variables)
     s = network.s
-    full = (1 << network.d) - 1
-    stats = SolveStats()
-
-    live = _live_masks(network)
-    arcs = _arcs(network)
-    # watchers[v]: the arcs whose source is v, i.e. that revise a neighbour of v
-    watchers: list[list[int]] = [[] for _ in range(n)]
-    for a, (_, y, _) in enumerate(arcs):
-        watchers[y].append(a)
+    arcs, watchers, touched = _with_added(base, network.binary[len(base.network.binary) :])
 
     start = time.perf_counter()
-
-    if not all(live) or not _arc_consistent(live, arcs, watchers, full):
-        stats.elapsed = time.perf_counter() - start
+    live = base.live.copy()
+    if touched and not _arc_consistent(live, arcs, watchers, (1 << network.d) - 1, touched):
+        stats.elapsed += time.perf_counter() - start
         return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
 
     # per variable, (neighbour, the neighbour's allowed cells per cell of this one)
@@ -438,7 +512,7 @@ def solve(network: ConstraintNetwork, solution_cap: int | None = 2) -> SolveOutc
 
     capped = search()
     exhausted = not capped
-    stats.elapsed = time.perf_counter() - start
+    stats.elapsed += time.perf_counter() - start
 
     if found == 0:
         return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
@@ -499,33 +573,27 @@ def brute_force_solve(network: ConstraintNetwork) -> SolveOutcome:
 def probe_directions(
     network: ConstraintNetwork, query_pair: tuple[str, str]
 ) -> dict[Direction9, SolveOutcome]:
-    """Consistency of each of the nine candidate directions for the pair."""
+    """Consistency of each of the nine candidate directions for the pair,
+    each probe solved from the network's one arc-consistent fixpoint."""
     subject, reference = query_pair
-    out: dict[Direction9, SolveOutcome] = {}
-    for d in DIRECTION_ORDER:
-        probe = network.extended(Binary(subject, d, reference))
-        out[d] = solve(probe, solution_cap=1)
-    return out
+    story = arc_fixpoint(network)
+    return {
+        d: solve(network.extended(Binary(subject, d, reference)), solution_cap=1, base=story)
+        for d in DIRECTION_ORDER
+    }
 
 
 def feasible_directions(
     network: ConstraintNetwork, query_pair: tuple[str, str]
 ) -> set[Direction9]:
-    """Directions of subject relative to reference consistent with the network."""
+    """Directions of subject relative to reference consistent with the
+    network.  The nine directions partition every cell pair, so none is
+    feasible exactly when the network has no solution."""
     return {
         d
         for d, outcome in probe_directions(network, query_pair).items()
         if outcome.verdict is Verdict.SAT
     }
-
-
-def classify_query(network: ConstraintNetwork, query_pair: tuple[str, str]) -> CountClass:
-    """No solution / single / multiple feasible directions.  The nine directions
-    partition every cell pair, so none is feasible exactly when there is no solution."""
-    k = len(feasible_directions(network, query_pair))
-    if k == 0:
-        return CountClass.NO
-    return CountClass.SINGLE if k == 1 else CountClass.MULTIPLE
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -74,6 +75,26 @@ class TestGenerate:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "setting, qtype, sha256",
+        [
+            # the YN No and Yes branches, no unary constraints
+            ("O2+D2", "YN", "efa44f6183faf5df65d9a75a50ac5ad82f74e5974a9177abbd1d3f3669d10a79"),
+            # the FR base solve and gold probe, with region unaries
+            ("O2+D3+Layout", "FR", "8c07f711fbffb3595f401bc9b5ed006ec6dac0201b4ea1fa9541818772664a29"),
+            ("TPP", "FR", "07e63f094a987597e247324ffcb74c13ad0cf1d0bd48e63286e45a6fe3f0ffc8"),
+        ],
+    )
+    def test_pinned_dataset_bytes(self, tmp_path, setting, qtype, sha256):
+        # a solver or generator change that keeps datasets byte-identical
+        # must keep these; a deliberate change re-pins them
+        args = [
+            "generate", "--seed", "0", "--count", "150", "--n", "5", "--m", "4",
+            "--d", "144", "--setting", setting, "--qtype", qtype,
+        ]
+        out = run_generate(tmp_path, args=args)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestStats:

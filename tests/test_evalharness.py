@@ -361,8 +361,26 @@ class TestQueryModel:
         assert waits[0] >= 7
         assert 0.5 <= waits[1] <= 1.0  # the backoff is longer than 0.25 s
 
+    def test_http_date_retry_after_is_honoured(self, endpoint, waits, monkeypatch):
+        # the clock reads 07:27:50 GMT
+        monkeypatch.setattr(time, "time", lambda: 1792567670.0)
+        self.respond_with(monkeypatch, [
+            FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+            FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:27:50 -0000"}),
+            FakeResponse(200, completion("North.")),
+        ])
+        assert query_model(endpoint, "q").retries == 2
+        assert waits[0] == 10.0
+        assert 0.5 <= waits[1] <= 1.0  # no time left: the backoff
+
     def test_non_numeric_retry_after_falls_back_to_backoff(self, endpoint, waits, monkeypatch):
-        headers = [{"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, {"Retry-After": "nan"}, {}]
+        monkeypatch.setattr(time, "time", lambda: 1792567670.0)
+        headers = [
+            {"Retry-After": "Wed, 21 Oct 2026 07:27:00 GMT"},  # a minute ago
+            {"Retry-After": "Wed, 32 Oct 2026 07:28:00 GMT"},
+            {"Retry-After": "nan"},
+            {},
+        ]
         self.respond_with(
             monkeypatch,
             [FakeResponse(429, headers=h) for h in headers] + [FakeResponse(200, completion("ok"))],

@@ -95,3 +95,35 @@ def test_extended_returns_new_network():
     assert len(base.binary) == 0
     assert len(probe.binary) == 1
     assert probe.variables == base.variables
+
+
+def test_extended_checks_the_added_constraint():
+    base = net(["a", "b"], binary=[Binary("a", Direction9.N, "b")])
+    with pytest.raises(ValueError, match="unknown object"):
+        base.extended(Binary("a", Direction9.N, "ghost"))
+    with pytest.raises(ValueError, match="itself"):
+        base.extended(Binary("a", Direction9.N, "a"))
+    with pytest.raises(ValueError, match="duplicate direction"):
+        base.extended(Binary("a", Direction9.S, "b"))
+    # the reverse orientation, or another kind on the same orientation, is new
+    assert base.extended(Binary("b", Direction9.N, "a")).binary[-1] == Binary(
+        "b", Direction9.N, "a"
+    )
+    close = DistanceBand(DistanceScheme.D2, Band.CLOSE)
+    assert base.extended(Binary("a", close, "b")).binary == base.binary + (
+        Binary("a", close, "b"),
+    )
+
+
+def test_extended_network_equals_one_built_whole():
+    base = net(
+        ["a", "b", "c"],
+        unary=[Unary("a", Region9.CR)],
+        binary=[Binary("b", Direction9.N, "a")],
+    )
+    extra = Binary("c", Direction9.E, "b")
+    assert base.extended(extra) == net(
+        ["a", "b", "c"],
+        unary=[Unary("a", Region9.CR)],
+        binary=[Binary("b", Direction9.N, "a"), extra],
+    )

@@ -18,6 +18,7 @@ from qsrbench.calculus import (
     GridCell,
     Region9,
     TopoWall,
+    ViewFrame,
     direction_between_cells,
     direction_holds_for_cells,
     distance_band_between_cells,
@@ -25,21 +26,21 @@ from qsrbench.calculus import (
     region_of_cell,
     relation_token,
 )
+from qsrbench.netgen import GenConfig, QType, Setting, generate_dataset
 from qsrbench.network import Binary, ConstraintNetwork, Unary
 from qsrbench.solver import (
-    CountClass,
     InstanceTooLarge,
     Verdict,
     _arcs,
+    _live_masks,
     _partner_masks,
     _unary_mask,
+    arc_fixpoint,
     brute_force_solve,
     check_binary,
     check_unary,
-    classify_query,
     feasible_directions,
     probe_directions,
-    propagate_unary,
     solve,
 )
 
@@ -126,30 +127,30 @@ def test_pair_constraint_masks_are_the_conjunction(s):
         for c in binary:
             table = _holds(c.rel, s)
             holds &= table if c.subject == "a" else table.T
-        arcs = _arcs(net(["a", "b"], binary=binary, s=s))
+        arcs, _ = _arcs(net(["a", "b"], binary=binary, s=s))
         assert [(x, y) for x, y, _ in arcs] == [(0, 1), (1, 0)]
         assert arcs[0][2].masks == _column_masks(holds)
         assert arcs[1][2].masks == _column_masks(holds.T)
 
 
-# --- unary propagation ----------------------------------------------------------
+# --- unary filtering ------------------------------------------------------------
 
 
-def test_propagate_unary_region_block():
+def test_live_masks_region_block():
     n = net(["o"], unary=[Unary("o", Region9.CR)], s=9)
-    assert len(propagate_unary(n)["o"]) == 9
+    assert _live_masks(n)[0].bit_count() == 9
 
 
-def test_propagate_unary_wall_topology():
+def test_live_masks_wall_topology():
     n = net(["o"], unary=[Unary("o", TopoWall.TPP)], s=9)
-    assert len(propagate_unary(n)["o"]) == 32
+    assert _live_masks(n)[0].bit_count() == 32
     n = net(["o"], unary=[Unary("o", TopoWall.NTPP)], s=9)
-    assert len(propagate_unary(n)["o"]) == 49
+    assert _live_masks(n)[0].bit_count() == 49
 
 
-def test_propagate_unary_unconstrained():
+def test_live_masks_unconstrained():
     n = net(["o"], s=9)
-    assert len(propagate_unary(n)["o"]) == 81
+    assert _live_masks(n)[0].bit_count() == 81
 
 
 # --- frozen exact counts ----------------------------------------------------------
@@ -219,7 +220,6 @@ def test_solution_cap_stops_early():
     assert out.verdict is Verdict.SAT
     assert out.n_solutions == 2
     assert not out.exhausted
-    assert out.count_class is CountClass.MULTIPLE
 
 
 def test_first_solution_is_deterministic():
@@ -300,14 +300,10 @@ _KINDS = (
 )
 
 
-@pytest.mark.parametrize(
-    "seed, s, reverse",
-    [pytest.param(seed, 3, False, id=str(seed)) for seed in range(20)]
-    + [pytest.param(seed, 6, False, id=f"s6-{seed}") for seed in range(20)]
-    + [pytest.param(seed, 3, True, id=f"rev-{seed}") for seed in range(20)]
-    + [pytest.param(seed, 6, True, id=f"rev-s6-{seed}") for seed in range(10)],
-)
-def test_solver_matches_brute_force_on_random_networks(seed, s, reverse):
+def _random_draw(seed, s, reverse):
+    """A random network of 2–3 variables on the s-by-s grid; with
+    ``reverse``, its last constraint restates a constrained pair the other
+    way round, true of the first solution of the rest when there is one."""
     rng = random.Random(seed)
     n_vars = rng.choice((2, 3)) if s == 3 else 3
     names = [f"o{i}" for i in range(n_vars)]
@@ -327,8 +323,6 @@ def test_solver_matches_brute_force_on_random_networks(seed, s, reverse):
                 band = rng.choice([b for b in Band if not (sch is DistanceScheme.D2 and b is Band.MEDIUM)])
                 binary.append(Binary(names[j], DistanceBand(sch, band), names[i]))
     if reverse and binary:
-        # a second constraint on a constrained pair, stated the other way
-        # round: true of the first solution when there is one, else random
         c = rng.choice(binary)
         kind, rel = rng.choice(_KINDS)
         first = brute_force_solve(net(names, unary=unary, binary=binary, s=s)).first_solution
@@ -339,7 +333,22 @@ def test_solver_matches_brute_force_on_random_networks(seed, s, reverse):
             else:
                 rel = distance_band_between_cells(*cells, s, rel.scheme)
         binary.append(Binary(c.reference, rel, c.subject))
-    network = net(names, unary=unary, binary=binary, s=s)
+    return net(names, unary=unary, binary=binary, s=s)
+
+
+_REVERSE_DRAWS = [pytest.param(seed, 3, id=f"rev-{seed}") for seed in range(20)] + [
+    pytest.param(seed, 6, id=f"rev-s6-{seed}") for seed in range(10)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, s, reverse",
+    [pytest.param(seed, 3, False, id=str(seed)) for seed in range(20)]
+    + [pytest.param(seed, 6, False, id=f"s6-{seed}") for seed in range(20)]
+    + [pytest.param(*p.values, True, id=p.id) for p in _REVERSE_DRAWS],
+)
+def test_solver_matches_brute_force_on_random_networks(seed, s, reverse):
+    network = _random_draw(seed, s, reverse)
     fast = solve(network, solution_cap=None)
     oracle = brute_force_solve(network)
     assert fast.verdict is oracle.verdict
@@ -360,6 +369,109 @@ def test_adding_a_constraint_never_adds_solutions(seed):
     )
 
 
+# --- solving from a story's fixpoint -------------------------------------------------
+
+def _outcome(out):
+    return (
+        out.verdict,
+        out.n_solutions,
+        out.exhausted,
+        out.first_solution,
+        out.stats.nodes,
+        out.stats.backtracks,
+    )
+
+
+def _assert_probe_matches_fresh(story, extra, caps=(1, 2, None)):
+    """Solving ``story`` plus ``extra`` from the story's fixpoint must agree
+    in every field with solving the same network built from scratch."""
+    fresh = ConstraintNetwork(
+        story.variables, story.unary, story.binary + (extra,), story.s, story.w
+    )
+    base = arc_fixpoint(story)
+    for cap in caps:
+        assert _outcome(solve(story.extended(extra), cap, base=base)) == _outcome(
+            solve(fresh, cap)
+        ), (extra, cap)
+
+
+@pytest.mark.parametrize(
+    "d, n, m, count, caps", [(9, 4, 3, 20, (1, 2, None)), (144, 5, 4, 10, (1, 2))],
+    ids=["d9", "d144"],
+)
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+def test_probe_from_fixpoint_matches_fresh_network(setting, d, n, m, count, caps):
+    # at d=9 exact counts are cheap and most region stories are unsatisfiable
+    config = GenConfig(
+        n=n, d=d, m=m, setting=setting, view=ViewFrame.TOP_DOWN, qtype=QType.FR
+    )
+    for inst in generate_dataset(0, count, config).instances:
+        for direction in DIRECTION_ORDER:
+            extra = Binary(inst.query.subject, direction, inst.query.reference)
+            _assert_probe_matches_fresh(inst.network, extra, caps)
+
+
+def test_probe_from_unsatisfiable_fixpoint():
+    story = net(
+        ["A", "B", "C"],
+        binary=[Binary("A", Direction9.E, "B"), Binary("B", Direction9.E, "A")],
+    )
+    assert not arc_fixpoint(story).consistent
+    for direction in DIRECTION_ORDER:
+        _assert_probe_matches_fresh(story, Binary("C", direction, "A"))
+        _assert_probe_matches_fresh(story, Binary("A", direction, "C"))
+
+
+@pytest.mark.parametrize("seed, s", _REVERSE_DRAWS)
+def test_probe_on_constrained_pair_matches_fresh_network(seed, s):
+    # the draw's last constraint restates a pair of the rest the other way
+    # round; probe that pair with every relation, in both orientations, from
+    # the fixpoint of the rest (a draw with no binary constraint has no
+    # constrained pair, and probes a new one)
+    network = _random_draw(seed, s, reverse=True)
+    story, pair = network, network.variables[:2]
+    if network.binary:
+        last = network.binary[-1]
+        story = net(network.variables, network.unary, network.binary[:-1], s)
+        pair = (last.subject, last.reference)
+    caps = (1, 2, None) if s == 3 else (1, 2)
+    for a, b in (pair, pair[::-1]):
+        for rel in BINARY_RELATIONS:
+            try:
+                story.extended(Binary(a, rel, b))
+            except ValueError:
+                continue  # the story states this kind on the pair this way round
+            _assert_probe_matches_fresh(story, Binary(a, rel, b), caps)
+
+
+def test_probe_on_constrained_pair_conjoins_into_its_arcs():
+    far = DistanceBand(DistanceScheme.D2, Band.FAR)
+    story = net(["a", "b"], binary=[Binary("a", Direction9.O, "b")], s=12)
+    for extra in (Binary("a", far, "b"), Binary("b", far, "a")):
+        out = solve(story.extended(extra), base=arc_fixpoint(story))
+        # only the conjunction is empty, so the pair kept one arc pair
+        assert out.verdict is Verdict.UNSAT
+        assert out.stats.nodes == 0
+
+
+def test_fixpoint_of_another_network_is_rejected():
+    story = net(["a", "b", "c"], binary=[Binary("a", Direction9.N, "b")], s=3)
+    base = arc_fixpoint(story)
+    probe = Binary("c", Direction9.E, "a")
+    others = [
+        net(["a", "b", "c"], binary=[Binary("a", Direction9.S, "b"), probe], s=3),
+        net(["a", "b", "c"], binary=[probe, Binary("a", Direction9.N, "b")], s=3),
+        net(["a", "c", "b"], binary=[Binary("a", Direction9.N, "b"), probe], s=3),
+        net(["a", "b", "c"], [Unary("a", Region9.CR)], [Binary("a", Direction9.N, "b")], s=3),
+        net(["a", "b", "c"], binary=[Binary("a", Direction9.N, "b")], s=6),
+        net(["a", "b"], binary=[Binary("a", Direction9.N, "b")], s=3),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="base"):
+            solve(other, base=base)
+    assert solve(story.extended(probe), base=base).verdict is Verdict.SAT
+
+
 # --- query-level analysis ----------------------------------------------------------
 
 
@@ -369,7 +481,6 @@ def test_feasible_directions_pinned_single():
         binary=[Binary("A", Direction9.E, "B"), Binary("C", Direction9.N, "A")],
     )
     assert feasible_directions(n, ("C", "B")) == {Direction9.NE}
-    assert classify_query(n, ("C", "B")) is CountClass.SINGLE
 
 
 def test_feasible_directions_pinned_multiple():
@@ -382,7 +493,6 @@ def test_feasible_directions_pinned_multiple():
         Direction9.W,
         Direction9.SW,
     }
-    assert classify_query(n, ("C", "A")) is CountClass.MULTIPLE
 
 
 def test_feasible_directions_empty_on_unsat_base():
@@ -391,7 +501,6 @@ def test_feasible_directions_empty_on_unsat_base():
         binary=[Binary("A", Direction9.E, "B"), Binary("B", Direction9.E, "A")],
     )
     assert feasible_directions(n, ("C", "D")) == set()
-    assert classify_query(n, ("C", "D")) is CountClass.NO
 
 
 def test_probe_directions_covers_all_nine():
