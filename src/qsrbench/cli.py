@@ -29,7 +29,7 @@ from .evalharness import (
 from .grade import aggregate, grade, metrics_to_csv, metrics_to_json
 from .netgen import GenConfig, GenerationError, QType, Setting, generate_dataset
 from .solver import tightness_table
-from .stats import report_to_csv, run_sweeps
+from .stats import D_VALUES, report_to_csv, run_sweeps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the sweep to these settings (repeatable; default all)",
     )
     stats.add_argument(
-        "--d", action="append", type=int, help="grid sizes to sweep (default 81 and 144)"
+        "--d", action="append", type=int,
+        help=f"grid sizes to sweep (default {' and '.join(map(str, D_VALUES))})",
     )
     stats.add_argument("--out", help="CSV output path for sweep results")
 
@@ -127,7 +128,7 @@ def _cmd_stats(args) -> int:
         settings = (
             tuple(Setting(s) for s in args.setting) if args.setting else tuple(Setting)
         )
-        d_values = tuple(args.d) if args.d else (81, 144)
+        d_values = tuple(args.d) if args.d else D_VALUES
         report = run_sweeps(
             args.seed, rooms_per_cell=args.rooms, settings=settings, d_values=d_values
         )

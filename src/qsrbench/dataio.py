@@ -121,11 +121,18 @@ def write_dataset(path: str | Path, instances: Iterable[BenchmarkInstance]) -> N
 
 
 def read_dataset(path: str | Path) -> list[BenchmarkInstance]:
+    """Read a dataset file; a record that is not a valid instance raises
+    :class:`ValueError` naming its file and line."""
     instances = []
     for where, rec in _numbered_records(path):
         if (version := rec.get("schema_version")) != SCHEMA_VERSION:
             raise ValueError(f"{where}: schema_version {version!r}, expected {SCHEMA_VERSION}")
-        instances.append(record_to_instance(rec))
+        try:
+            instances.append(record_to_instance(rec))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return instances
 
 
@@ -134,7 +141,8 @@ def read_records(path: str | Path) -> list[dict]:
 
 
 def _numbered_records(path: str | Path):
-    """Yield ``(path:line, record)`` for each non-blank line."""
+    """Yield ``(path:line, record)`` for each non-blank line, which must
+    hold a JSON object."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
@@ -142,6 +150,8 @@ def _numbered_records(path: str | Path):
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+                if not isinstance(rec, dict):
+                    raise ValueError(f"{path}:{lineno}: not a JSON object")
                 yield f"{path}:{lineno}", rec
 
 
@@ -166,8 +176,12 @@ def read_answers(path: str | Path) -> dict[int, str]:
     """Read an answers file; evaluation-record files are accepted too."""
     out: dict[int, str] = {}
     for where, rec in _numbered_records(path):
+        if "id" not in rec:
+            raise ValueError(f"{where}: missing field 'id'")
         if rec["id"] in out:
             raise ValueError(f"{where}: answer id {rec['id']} appears more than once")
+        if "text" not in rec and "reply" not in rec:
+            raise ValueError(f"{where}: missing field 'text'")
         out[rec["id"]] = rec["text"] if "text" in rec else rec["reply"]
     return out
 

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import timezone
 from email.utils import parsedate_to_datetime
-from typing import Callable, Protocol
+from typing import Callable
 
 import requests
 
@@ -193,10 +193,11 @@ def parse_answer(
 
 # --- stub models ------------------------------------------------------------
 
-StubFn = Callable[[BenchmarkInstance, str], ModelReply]
+#: a model, stub or endpoint: the reply to one instance's prompt
+Responder = Callable[[BenchmarkInstance, str], ModelReply]
 
 
-def gold_stub(lexicon: Lexicon | None = None) -> StubFn:
+def gold_stub(lexicon: Lexicon | None = None) -> Responder:
     """Always answers with the stored gold label / continuous direction."""
     lexicon = lexicon or default_lexicon()
 
@@ -209,7 +210,7 @@ def gold_stub(lexicon: Lexicon | None = None) -> StubFn:
     return respond
 
 
-def random_stub(seed: int, lexicon: Lexicon | None = None) -> StubFn:
+def random_stub(seed: int, lexicon: Lexicon | None = None) -> Responder:
     """Uniform random choice over the legal answer space, seeded."""
     lexicon = lexicon or default_lexicon()
     rng = random.Random(seed)
@@ -224,14 +225,14 @@ def random_stub(seed: int, lexicon: Lexicon | None = None) -> StubFn:
     return respond
 
 
-def always_yes_stub() -> StubFn:
+def always_yes_stub() -> Responder:
     def respond(inst: BenchmarkInstance, prompt: str) -> ModelReply:
         return ModelReply(text="Yes", latency=0.0)
 
     return respond
 
 
-STUB_FACTORIES: dict[str, Callable[..., StubFn]] = {
+STUB_FACTORIES: dict[str, Callable[..., Responder]] = {
     "gold": lambda seed=0: gold_stub(),
     "random": lambda seed=0: random_stub(seed),
     "always-yes": lambda seed=0: always_yes_stub(),
@@ -239,10 +240,6 @@ STUB_FACTORIES: dict[str, Callable[..., StubFn]] = {
 
 
 # --- runs -------------------------------------------------------------------
-
-
-class Responder(Protocol):
-    def __call__(self, inst: BenchmarkInstance, prompt: str) -> ModelReply: ...
 
 
 @dataclass

@@ -299,8 +299,8 @@ def build_instance(
         config=config,
         network=network,
         query=query,
-        story=story.text,
-        question=question.text,
+        story=story,
+        question=question,
         gold_coords=coords,
         gold_direction=gold,
     )

@@ -87,9 +87,6 @@ class ConstraintNetwork:
     def index_of(self, name: str) -> int:
         return self.variables.index(name)
 
-    def constrained_pairs(self) -> set[frozenset[str]]:
-        return {frozenset((c.subject, c.reference)) for c in self.binary}
-
     def extended(self, extra: Binary) -> "ConstraintNetwork":
         """New network with one more binary constraint (used for probing).
 

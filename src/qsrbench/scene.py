@@ -29,6 +29,10 @@ ROOM_TYPES: tuple[str, ...] = ("bedroom", "kitchen", "living room", "bathroom")
 
 _ORDINALS = ("", "second ", "third ", "fourth ")
 
+#: objects every room type's catalog must guarantee: the largest n the
+#: standard sweeps draw
+MIN_OBJECTS = 7
+
 
 class UnaryMode(Enum):
     """Which facts about each single object a story states."""
@@ -52,17 +56,17 @@ class Catalog:
     room_types: dict[str, tuple[CatalogEntry, ...]]
     wall_snap_prob: float
 
-    def validate(self, min_objects: int = 7) -> None:
+    def validate(self) -> None:
         if not 0.0 <= self.wall_snap_prob <= 1.0:
             raise ValueError("wall_snap_prob must lie in [0, 1]")
         for room_type, entries in self.room_types.items():
             if len({e.category for e in entries}) != len(entries):
                 raise ValueError(f"duplicate category in {room_type!r} catalog")
             guaranteed = sum(e.min_count for e in entries)
-            if guaranteed < min_objects:
+            if guaranteed < MIN_OBJECTS:
                 raise ValueError(
                     f"{room_type!r} catalog guarantees only {guaranteed} objects, "
-                    f"need at least {min_objects}"
+                    f"need at least {MIN_OBJECTS}"
                 )
             for e in entries:
                 if e.half_extent <= 0:

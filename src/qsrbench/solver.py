@@ -52,7 +52,6 @@ from .calculus import (
     inverse_direction,
     region_holds_for_cell,
     relation_from_token,
-    relation_token,
     topo_holds_for_cell,
 )
 from .network import Binary, ConstraintNetwork
@@ -93,7 +92,7 @@ def check_binary(rel: Relation, cell_a: GridCell, cell_b: GridCell, s: int) -> b
     """Does ``(cell_a, rel, cell_b)`` hold on an s-by-s grid?
 
     Evaluated cell by cell through the calculus; this is the reference the
-    grid tables of :func:`_partner_columns` are tested against.  Distance
+    grid tables of :func:`_support` are tested against.  Distance
     bands scale with the room width, so no width enters the verdict.
     """
     if isinstance(rel, Direction9):
@@ -114,12 +113,11 @@ def check_unary(rel: Relation, cell: GridCell, s: int) -> bool:
 # ---------------------------------------------------------------------------
 # cached bitmask tables
 
-_unary_mask_cache: dict[tuple[str, int], int] = {}
-_binary_mask_cache: dict[tuple[str, int], list[int]] = {}
+_unary_mask_cache: dict[tuple[Relation, int], int] = {}
 
 
 def _unary_mask(rel: Relation, s: int) -> int:
-    key = (relation_token(rel), s)
+    key = (rel, s)
     mask = _unary_mask_cache.get(key)
     if mask is None:
         mask = 0
@@ -155,26 +153,10 @@ def _offset_table(rel: Relation, s: int) -> np.ndarray:
     raise TypeError(f"not a binary relation: {rel!r}")
 
 
-def _partner_columns(rel: Relation, s: int):
-    """Per reference cell ``cb`` in index order, the s-by-s boolean grid
-    (``[row, col]``) of the cells ``ca`` for which ``(ca, rel, cb)`` holds."""
-    table = _offset_table(rel, s)
-    for cb in range(s * s):
-        row, col = divmod(cb, s)
-        yield table[s - 1 - row : 2 * s - 1 - row, s - 1 - col : 2 * s - 1 - col]
-
-
-def _partner_masks(rel: Relation, s: int) -> list[int]:
-    """``masks[cb]`` = cells ``ca`` such that ``(ca, rel, cb)`` holds."""
-    key = (relation_token(rel), s)
-    masks = _binary_mask_cache.get(key)
-    if masks is None:
-        masks = [
-            int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
-            for column in _partner_columns(rel, s)
-        ]
-        _binary_mask_cache[key] = masks
-    return masks
+def _partner_windows(table: np.ndarray, s: int) -> np.ndarray:
+    """``windows[row, col]``: the s-by-s grid of the cells ``ca`` for which
+    the table's relation holds to the reference cell at ``(col, row)``."""
+    return np.lib.stride_tricks.sliding_window_view(table, (s, s))[::-1, ::-1]
 
 
 class _Support(NamedTuple):
@@ -192,14 +174,20 @@ _support_cache: dict[tuple[tuple[Relation, ...], int], _Support] = {}
 def _support(rels: tuple[Relation, ...], s: int) -> _Support:
     """Partner masks of the conjunction ``rels`` with their 4-bit chunk tables,
     cached on the relation objects themselves, since a solve looks them up for
-    every pair.  The support of a domain is then one lookup per non-zero
-    nibble; 8-bit chunks would take 8 times the memory."""
+    every pair.  The masks are the AND of the relations' offset tables, cut
+    into one window per reference cell and packed in one numpy call.  The
+    support of a domain is then one lookup per non-zero nibble; 8-bit chunks
+    would take 8 times the memory."""
     key = (rels, s)
     support = _support_cache.get(key)
     if support is None:
-        masks = _partner_masks(rels[0], s)
+        table = _offset_table(rels[0], s)
         for rel in rels[1:]:
-            masks = [m & other for m, other in zip(masks, _partner_masks(rel, s))]
+            table = table & _offset_table(rel, s)
+        packed = np.packbits(
+            _partner_windows(table, s).reshape(s * s, s * s), axis=1, bitorder="little"
+        )
+        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         tables = []
         # two tables per byte of a domain, the last ones padded with 0
         for k in range(0, -(-len(masks) // 8) * 8, 4):
@@ -685,7 +673,7 @@ def empirical_tightness(kind: str, d: int) -> Fraction:
     """Exhaustively counted fraction of disallowed cells / cell pairs.
 
     Counts the solver's own grid tables: unary kinds from the cell masks,
-    binary kinds column by column from the partner grids.
+    binary kinds from the partner windows of the relation's offset table.
     """
     s = math.isqrt(d)
     if s * s != d or s % 3 != 0:
@@ -697,7 +685,7 @@ def empirical_tightness(kind: str, d: int) -> Fraction:
     rel = relation_from_token(kind)
     if isinstance(rel, (Region9, TopoWall)):
         return Fraction(d - _unary_mask(rel, s).bit_count(), d)
-    allowed = sum(int(np.count_nonzero(column)) for column in _partner_columns(rel, s))
+    allowed = int(np.count_nonzero(_partner_windows(_offset_table(rel, s), s)))
     return Fraction(d * d - allowed, d * d)
 
 

@@ -3,13 +3,17 @@
 Two standard sweeps drive the difficulty analysis: object count ``n`` rising
 with ``m = n - 1`` story constraints, and constraint count ``m`` rising at
 fixed ``n = 5``.  For every (setting, grid size, n, m) cell this module
-generates instances, solves each network once, probes all nine candidate
-directions for the query pair, and aggregates the outcome mix (no / single /
-multiple feasible answers) together with search-effort numbers.
+generates instances, probes all nine candidate directions for the query
+pair, and aggregates the outcome mix (no / single / multiple feasible
+answers) together with search-effort numbers.
 
-Effort is reported two ways per cell: the cost of probing all nine
-directions (what a find-relation grader pays) and the cost of the single
-gold-direction probe (what a yes/no check pays on the same network).
+Each room's network is solved by the generator, once per candidate
+direction (the nine probes, which give the outcome mix) and three more
+times by :func:`time_cells` (the timed base solves).  Effort is reported
+three ways per cell: the base solve's nodes and backtracks; the cost of
+probing all nine directions (what a find-relation grader pays); and the
+cost of the single gold-direction probe (what a yes/no check pays on the
+same network).
 
 Base-solve times are taken by :func:`time_cells` for all cells of one sweep
 together, visiting the cells round-robin, so a change in machine speed
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from .calculus import ViewFrame
 from .netgen import GenConfig, QType, Setting, generate_dataset
 from .network import ConstraintNetwork
-from .scene import Catalog
 from .solver import Verdict, probe_directions, solve
 
 #: object-count sweep: n rises, m = n - 1
@@ -127,51 +130,38 @@ class StatsReport:
         return no / total if total else 0.0
 
 
-def measure_cell(
-    master_seed: int,
-    rooms: int,
-    config: GenConfig,
-    sweep: str,
-    catalog: Catalog | None = None,
-) -> CellStats:
-    """Generate ``rooms`` instances for one cell and aggregate solver stats.
+def measure_cell(master_seed: int, rooms: int, config: GenConfig, sweep: str) -> CellStats:
+    """Generate ``rooms`` instances for one cell, classify each room by its
+    nine direction probes and aggregate their effort.
 
-    The cell's solve times stay zero until :func:`time_cells` is run on it.
+    The nine directions partition every cell pair, so a room with no
+    feasible direction is exactly one whose story is Unsat.  The cell's
+    solve times and base-solve effort stay zero until :func:`time_cells`
+    is run on it.
     """
-    build = generate_dataset(master_seed, rooms, config, catalog=catalog)
+    build = generate_dataset(master_seed, rooms, config)
     cell = CellStats(
         sweep=sweep, setting=config.setting, d=config.d, n=config.n, m=config.m
     )
-    nodes: list[int] = []
-    backtracks: list[int] = []
     fr_nodes: list[int] = []
     yn_nodes: list[int] = []
     for inst in build.instances:
-        outcome = solve(inst.network, solution_cap=2)
         cell.networks.append(inst.network)
-        nodes.append(outcome.stats.nodes)
-        backtracks.append(outcome.stats.backtracks)
-
         pair = (inst.query.subject, inst.query.reference)
         probes = probe_directions(inst.network, pair)
         fr_nodes.append(sum(p.stats.nodes for p in probes.values()))
         yn_nodes.append(probes[inst.gold_direction].stats.nodes)
 
         cell.count += 1
-        if outcome.verdict is Verdict.UNSAT:
+        feasible = sum(1 for p in probes.values() if p.verdict is Verdict.SAT)
+        if feasible == 0:
             cell.no_count += 1
+        elif feasible == 1:
+            cell.single_count += 1
         else:
-            feasible = sum(
-                1 for p in probes.values() if p.verdict is Verdict.SAT
-            )
-            if feasible == 1:
-                cell.single_count += 1
-            else:
-                cell.multiple_count += 1
+            cell.multiple_count += 1
 
-    if nodes:
-        cell.mean_nodes = statistics.fmean(nodes)
-        cell.mean_backtracks = statistics.fmean(backtracks)
+    if fr_nodes:
         cell.mean_fr_nodes = statistics.fmean(fr_nodes)
         cell.mean_yn_nodes = statistics.fmean(yn_nodes)
     return cell
@@ -179,33 +169,38 @@ def measure_cell(
 
 def time_cells(cells: list[CellStats]) -> None:
     """Set each cell's solve-time mean and spread from the fastest of three
-    timed base solves per room, then drop the cells' networks.
+    timed base solves per room, and its base-solve effort, then drop the
+    cells' networks.
 
     The three runs are three passes, each visiting room i of every cell
     before room i + 1, so cells timed together share the machine's speed.
-    The search is deterministic, so the minimum strips scheduler spikes;
-    the cyclic garbage collector is paused while timing, as ``timeit`` does,
-    so no collection of the caller's objects lands inside a sub-millisecond
-    solve.
+    The search is deterministic, so every pass takes the same nodes and
+    backtracks and the minimum strips scheduler spikes; the cyclic garbage
+    collector is paused while timing, as ``timeit`` does, so no collection
+    of the caller's objects lands inside a sub-millisecond solve.
     """
     fastest = [[float("inf")] * len(cell.networks) for cell in cells]
+    effort = [[(0, 0)] * len(cell.networks) for cell in cells]
     rounds = max((len(cell.networks) for cell in cells), default=0)
     collecting = gc.isenabled()
     gc.disable()
     try:
         for _ in range(3):
             for i in range(rounds):
-                for cell, times in zip(cells, fastest):
+                for cell, times, counts in zip(cells, fastest, effort):
                     if i < len(times):
-                        elapsed = solve(cell.networks[i], solution_cap=2).stats.elapsed
-                        times[i] = min(times[i], elapsed)
+                        stats = solve(cell.networks[i], solution_cap=2).stats
+                        times[i] = min(times[i], stats.elapsed)
+                        counts[i] = (stats.nodes, stats.backtracks)
     finally:
         if collecting:
             gc.enable()
-    for cell, times in zip(cells, fastest):
+    for cell, times, counts in zip(cells, fastest, effort):
         if times:
             cell.mean_time = statistics.fmean(times)
             cell.std_time = statistics.pstdev(times)
+            cell.mean_nodes = statistics.fmean(n for n, _ in counts)
+            cell.mean_backtracks = statistics.fmean(b for _, b in counts)
         cell.networks = []
 
 
@@ -214,34 +209,19 @@ def run_sweeps(
     rooms_per_cell: int = 100,
     settings: tuple[Setting, ...] = tuple(Setting),
     d_values: tuple[int, ...] = D_VALUES,
-    view: ViewFrame = ViewFrame.TOP_DOWN,
-    w: float = 12.0,
-    eps_frac: float | None = None,
-    catalog: Catalog | None = None,
 ) -> StatsReport:
     """Run both standard sweeps for every requested setting and grid size."""
     report = StatsReport(master_seed=master_seed, rooms_per_cell=rooms_per_cell)
-
-    def config(n: int, m: int, setting: Setting, d: int) -> GenConfig:
-        kwargs = dict(
-            n=n, d=d, m=m, setting=setting, view=view, qtype=QType.FR, w=w
-        )
-        if eps_frac is not None:
-            kwargs["eps_frac"] = eps_frac
-        return GenConfig(**kwargs)
-
     for setting in settings:
         for d in d_values:
             for sweep, shapes in (
                 ("n", [(n, n - 1) for n in N_SWEEP]),
                 ("m", [(M_SWEEP_N, m) for m in M_SWEEP]),
             ):
-                cells = [
-                    measure_cell(
-                        master_seed, rooms_per_cell, config(n, m, setting, d), sweep, catalog
-                    )
-                    for n, m in shapes
+                configs = [
+                    GenConfig(n, d, m, setting, ViewFrame.TOP_DOWN, QType.FR) for n, m in shapes
                 ]
+                cells = [measure_cell(master_seed, rooms_per_cell, c, sweep) for c in configs]
                 time_cells(cells)
                 report.rows.extend(cells)
     return report

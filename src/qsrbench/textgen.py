@@ -141,19 +141,6 @@ def default_lexicon() -> Lexicon:
     return _default_lexicon
 
 
-@dataclass(frozen=True)
-class StoryText:
-    text: str
-    #: (sentence index, source constraint) for every constraint rendered
-    trace: tuple[tuple[int, Unary | Binary], ...]
-
-
-@dataclass(frozen=True)
-class QuestionText:
-    text: str
-    trace: tuple[tuple[int, Binary], ...] = ()
-
-
 def _capitalize(sentence: str) -> str:
     return sentence[0].upper() + sentence[1:] if sentence else sentence
 
@@ -174,7 +161,7 @@ def _join_items(items: list[str]) -> str:
 # rendering
 
 
-def render_story(network: ConstraintNetwork, view: ViewFrame, lexicon: Lexicon | None = None) -> StoryText:
+def render_story(network: ConstraintNetwork, view: ViewFrame, lexicon: Lexicon | None = None) -> str:
     """Render every constraint of the network into text, opener first.
 
     The opener lists all variables in order (with their unary facts when
@@ -189,86 +176,57 @@ def render_story(network: ConstraintNetwork, view: ViewFrame, lexicon: Lexicon |
         slot = "region" if isinstance(c.rel, Region9) else "topo"
         unary_by_obj.setdefault(c.obj, {})[slot] = c
 
-    sentences: list[str] = []
-    trace: list[tuple[int, Unary | Binary]] = []
-
     items = []
     for name in network.variables:
         facts = unary_by_obj.get(name, {})
         if "region" in facts:
-            region_c = facts["region"]
-            item = t["layout_item"].format(
-                name=name, region=lex.regions[region_c.rel]
-            )
-            trace.append((0, region_c))
+            item = t["layout_item"].format(name=name, region=lex.regions[facts["region"].rel])
             if "topo" in facts:
-                topo_c = facts["topo"]
-                item += t["layout_topo_suffix"].format(topo=lex.topology[topo_c.rel])
-                trace.append((0, topo_c))
+                item += t["layout_topo_suffix"].format(topo=lex.topology[facts["topo"].rel])
         else:
             item = name
         items.append(item)
-    sentences.append(t["inventory_opener"].format(items=_join_items(items)))
+    sentences = [t["inventory_opener"].format(items=_join_items(items))]
 
-    # group each pair's direction with its optional distance band
-    pair_direction: dict[tuple[str, str], Binary] = {}
-    pair_distance: dict[tuple[str, str], Binary] = {}
-    pair_order: list[tuple[str, str]] = []
+    # each pair's direction and optional distance band, in first-mention order
+    pairs: dict[tuple[str, str], dict[str, Binary]] = {}
     for c in network.binary:
-        key = (c.subject, c.reference)
-        if isinstance(c.rel, Direction9):
-            if key not in pair_direction and key not in pair_distance:
-                pair_order.append(key)
-            pair_direction[key] = c
-        else:
-            if key not in pair_direction and key not in pair_distance:
-                pair_order.append(key)
-            pair_distance[key] = c
+        slot = "direction" if isinstance(c.rel, Direction9) else "distance"
+        pairs.setdefault((c.subject, c.reference), {})[slot] = c
 
     north_facing = view is ViewFrame.NORTH_FACING
-    first_pair = True
-    for key in pair_order:
-        direction_c = pair_direction.get(key)
-        if direction_c is None:
-            raise ValueError(f"pair {key} has a distance band but no direction")
-        subject, reference = key
-        phrase = lex.direction_phrase(direction_c.rel, view)
+    for (subject, reference), facts in pairs.items():
+        if "direction" not in facts:
+            raise ValueError(f"pair {(subject, reference)} has a distance band but no direction")
+        direction = facts["direction"].rel
+        phrase = lex.direction_phrase(direction, view)
         if north_facing:
             body = t["pair_north_facing"].format(
                 subject=subject, direction=phrase, reference=reference
             )
-        elif direction_c.rel is Direction9.O:
+        elif direction is Direction9.O:
             body = t["pair_top_down_overlap"].format(subject=subject, reference=reference)
         else:
             body = t["pair_top_down"].format(
                 subject=subject, direction=phrase, reference=reference
             )
-        sentence_constraints: list[Binary] = [direction_c]
-        distance_c = pair_distance.get(key)
-        if distance_c is not None:
-            body += t["distance_suffix"].format(distance=lex.distances[distance_c.rel])
-            sentence_constraints.append(distance_c)
+        if "distance" in facts:
+            body += t["distance_suffix"].format(distance=lex.distances[facts["distance"].rel])
 
-        if north_facing and first_pair:
+        if north_facing and len(sentences) == 1:  # the first pair sentence
             sentences.append(t["perspective_opener"])
-            idx = len(sentences)
             sentences.append(t["perspective_lead"] + body)
         else:
-            idx = len(sentences)
             sentences.append(_capitalize(body))
-        for c in sentence_constraints:
-            trace.append((idx, c))
-        first_pair = False
 
-    text = " ".join(_terminated(s) for s in sentences)
-    return StoryText(text=text, trace=tuple(trace))
+    return " ".join(_terminated(s) for s in sentences)
 
 
 def render_question(
     query: "QuerySpec",  # noqa: F821 - netgen type, structural use only
     view: ViewFrame,
     lexicon: Lexicon | None = None,
-) -> QuestionText:
+) -> str:
     """Render a question; north-facing questions restate the perspective."""
     lex = lexicon or default_lexicon()
     t = lex.templates
@@ -290,21 +248,15 @@ def render_question(
             body = t["question_yn_top_down"].format(
                 subject=query.subject, direction=phrase, reference=query.reference
             )
-        trace: tuple[tuple[int, Binary], ...] = (
-            (0, Binary(query.subject, query.candidate, query.reference)),
-        )
     else:
         options = ", ".join(lex.direction_phrase(d, view) for d in DIRECTION_ORDER)
         body = t["question_fr"].format(
             subject=query.subject, reference=query.reference, options=options
         )
-        trace = ()
 
     if north_facing:
-        text = t["perspective_opener"] + " " + t["perspective_lead"] + body[0].lower() + body[1:]
-    else:
-        text = body
-    return QuestionText(text=text, trace=trace)
+        return t["perspective_opener"] + " " + t["perspective_lead"] + body[0].lower() + body[1:]
+    return body
 
 
 #: Prompt preamble describing the task; ``{s}`` is the grid side.
@@ -331,17 +283,15 @@ DISTANCE_3_PREAMBLE = (
 )
 
 
-def render_prompt(instance, preamble_mode: str = "plain", question: str | None = None) -> str:
+def render_prompt(instance, preamble_mode: str = "plain") -> str:
     """Assemble the text sent to a model for one benchmark instance.
 
     ``plain`` is story plus question; ``task_described`` prepends the task
     preamble and, when the instance uses distance bands, the matching
-    distance guideline.  ``question`` overrides the stored question text
-    (used for cross-view evaluation).
+    distance guideline.
     """
-    q = question if question is not None else instance.question
     if preamble_mode == "plain":
-        return instance.story + "\n" + q
+        return instance.story + "\n" + instance.question
     if preamble_mode != "task_described":
         raise ValueError(f"unknown preamble mode {preamble_mode!r}")
     parts = [TASK_PREAMBLE.format(s=instance.network.s)]
@@ -349,7 +299,7 @@ def render_prompt(instance, preamble_mode: str = "plain", question: str | None =
     if scheme is not None:
         parts.append(DISTANCE_2_PREAMBLE if scheme.value == "D2" else DISTANCE_3_PREAMBLE)
     parts.append(instance.story)
-    parts.append(q)
+    parts.append(instance.question)
     return "\n".join(parts)
 
 

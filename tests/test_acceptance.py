@@ -323,7 +323,7 @@ def test_criterion_6_text_round_trip():
     goldens_ok = True
     for view, name in GOLDEN_FILES.items():
         golden = (GOLDEN_DIR / name).read_text(encoding="utf-8").rstrip("\n")
-        rendered = render_story(CANONICAL_NET, view).text
+        rendered = render_story(CANONICAL_NET, view)
         goldens_ok = goldens_ok and rendered == golden
         goldens_ok = goldens_ok and golden.startswith(
             "This room contains a collection of furniture"

@@ -134,6 +134,17 @@ class TestStats:
         assert main(["stats"]) == 1
         assert "provide --dataset or --sweep" in capsys.readouterr().err
 
+    def test_bad_record_exits_one_with_file_and_line(self, tmp_path, capsys):
+        ds = run_generate(tmp_path)
+        lines = ds.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        del rec["story"]
+        lines[2] = json.dumps(rec) + "\n"
+        ds.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--dataset", str(ds)]) == 1
+        assert f"{ds}:3: missing field 'story'" in capsys.readouterr().err
+
 
 class TestGrade:
     def _answer_file(self, tmp_path, dataset, mutate=None):

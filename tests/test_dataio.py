@@ -230,6 +230,59 @@ class TestInputErrors:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: answer id 0 appears")):
             read_answers(path)
 
+    @staticmethod
+    def _dataset_with_bad_second_record(yn_build, tmp_path, mutate):
+        path = tmp_path / "bad.jsonl"
+        bad = instance_to_record(yn_build.instances[1])
+        mutate(bad)
+        path.write_text(
+            dumps_record(instance_to_record(yn_build.instances[0])) + "\n"
+            + dumps_record(bad) + "\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_missing_story_names_file_and_line(self, yn_build, tmp_path):
+        path = self._dataset_with_bad_second_record(
+            yn_build, tmp_path, lambda rec: rec.pop("story")
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing field 'story'")):
+            read_dataset(path)
+
+    def test_rejected_constraint_names_file_and_line(self, yn_build, tmp_path):
+        def unknown_object(rec):
+            rec["constraints"][-1][0] = "the ghost"
+
+        path = self._dataset_with_bad_second_record(yn_build, tmp_path, unknown_object)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: binary constraint on unknown")):
+            read_dataset(path)
+
+    def test_mistyped_field_names_file_and_line(self, yn_build, tmp_path):
+        def scalar_constraints(rec):
+            rec["constraints"] = 5
+
+        path = self._dataset_with_bad_second_record(yn_build, tmp_path, scalar_constraints)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: 'int' object is not iterable")):
+            read_dataset(path)
+
+    def test_non_object_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: not a JSON object")):
+            read_dataset(path)
+
+    def test_answer_without_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "answers.jsonl"
+        path.write_text('{"id": 0, "text": "Yes"}\n{"text": "No"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing field 'id'")):
+            read_answers(path)
+
+    def test_answer_without_text_names_file_and_line(self, tmp_path):
+        path = tmp_path / "answers.jsonl"
+        path.write_text('{"id": 0}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: missing field 'text'")):
+            read_answers(path)
+
 
 class TestDumps:
     def test_sorted_compact_output(self):

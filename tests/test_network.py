@@ -28,7 +28,6 @@ def test_basic_construction():
     )
     assert n.d == 81
     assert n.index_of("b") == 1
-    assert n.constrained_pairs() == {frozenset(("a", "b"))}
 
 
 def test_grid_side_must_be_multiple_of_three():

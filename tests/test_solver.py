@@ -33,7 +33,7 @@ from qsrbench.solver import (
     Verdict,
     _arcs,
     _live_masks,
-    _partner_masks,
+    _support,
     _unary_mask,
     arc_fixpoint,
     brute_force_solve,
@@ -89,7 +89,7 @@ def test_partner_masks_match_check_binary(rel, s):
         sum(1 << a for a, ca in enumerate(cells) if check_binary(rel, ca, cb, s))
         for cb in cells
     ]
-    assert _partner_masks(rel, s) == expected
+    assert _support((rel,), s).masks == expected
 
 
 @pytest.mark.parametrize("s", [3, 6, 9, 12])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -146,6 +147,22 @@ class TestRunSweeps:
         a = run_sweeps(**kwargs)
         b = run_sweeps(**kwargs)
         assert [r.row()[:10] for r in a.rows] == [r.row()[:10] for r in b.rows]
+
+    def test_non_timing_columns_are_pinned(self):
+        # every column but the two timing ones; measured when measure_cell
+        # still base-solved each room itself, so it also pins the effort
+        # columns time_cells now fills
+        rows = list(csv.reader(io.StringIO(report_to_csv(
+            run_sweeps(0, rooms_per_cell=3, d_values=(81,))
+        ))))
+        timing = {CSV_HEADER.index("mean_time"), CSV_HEADER.index("std_time")}
+        text = "".join(
+            ",".join(v for i, v in enumerate(row) if i not in timing) + "\n" for row in rows
+        )
+        assert len(rows) == 1 + len(Setting) * (len(N_SWEEP) + len(M_SWEEP))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1e08759bda465f2a5b6c1deded4893019de3957ffc40951339816d463bdaf1b9"
+        )
 
 
 class TestCsvExport:
