@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .calculus import Direction9
 from .netgen import BenchmarkInstance, QType
 from .network import Binary
-from .solver import Verdict, feasible_directions, solve
+from .solver import Verdict, arc_fixpoint, feasible_directions, solve
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,9 @@ def grade_yn(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:
 def grade_fr(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:
     """A solution of the answer's probe is a solution of the story, so a
     satisfiable probe is correct without a base solve; the base solve runs
-    only to tell an unsatisfiable story apart from a wrong answer."""
+    only to tell an unsatisfiable story apart from a wrong answer.  Both
+    start from the story's one arc-consistent fixpoint."""
+    story = arc_fixpoint(inst.network)
     probe_error: ValueError | None = None
     if answer.direction is not None:
         try:
@@ -66,9 +68,9 @@ def grade_fr(inst: BenchmarkInstance, answer: ParsedAnswer) -> GradeResult:
             # only an unsatisfiable story may do (graded below)
             probe_error = exc
         else:
-            if solve(probe, solution_cap=1).verdict is Verdict.SAT:
+            if solve(probe, solution_cap=1, base=story).verdict is Verdict.SAT:
                 return GradeResult(inst.id, True, answer)
-    base_unsat = solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT
+    base_unsat = solve(inst.network, solution_cap=1, base=story).verdict is Verdict.UNSAT
     flags = ("base-unsatisfiable",) if base_unsat else ()
     if answer.direction is None:
         return GradeResult(inst.id, False, answer, flags + ("unparseable",))

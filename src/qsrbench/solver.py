@@ -1,6 +1,6 @@
 """Consistency checking on the cell grid.
 
-The main entry points are :func:`solve` (an arc-consistency pass, then
+The main entry points are :func:`solve` (arc consistency, then
 backtracking search with forward checking), :func:`arc_fixpoint` (the
 arc-consistent state of a network, which solves of networks that add
 binary constraints to it start from), :func:`brute_force_solve` (an
@@ -16,12 +16,16 @@ the OR of that domain's partner masks, read from per-conjunction tables in
 4-bit chunks, so AC-3 (Mackworth 1977) runs at big-integer OR/AND speed and
 proves most Unsat probes without search, including a direction and a
 distance band that no cell pair satisfies together.  A constraint added to
-a network can only shrink domains, so a probe that adds one to a story
-starts from the story's fixpoint and propagates only its own pair's two
-arcs (Bessière 2006, incremental arc consistency).  Search determinism is
-part of the contract: variables are picked by highest degree among
-unassigned neighbours, then smallest live domain (after arc consistency),
-then smallest variable index; values are tried in row-major cell order.
+a network can only shrink domains, so every fixpoint is reached one way:
+fold the constraints a start does not hold yet into their pairs' arcs and
+propagate only those arcs (Bessière 2006, incremental arc consistency).  A
+probe that adds one constraint to a story starts from the story's
+fixpoint and propagates its own pair's two arcs; a network solved on its
+own starts from unary filtering, where every arc is added.  Search
+determinism is part of the contract: variables are picked by highest
+degree among unassigned neighbours, then smallest live domain (after arc
+consistency), then smallest variable index; values are tried in row-major
+cell order.
 """
 from __future__ import annotations
 
@@ -75,7 +79,6 @@ class SolveStats:
 class SolveOutcome:
     verdict: Verdict
     n_solutions: int
-    exhausted: bool
     first_solution: dict[str, GridCell] | None
     stats: SolveStats
 
@@ -253,27 +256,6 @@ def _arc_pair(pair: tuple[int, int], rels: tuple[Relation, ...], s: int) -> list
     return [(x, y, _support(rels, s)), (y, x, _support(tuple(map(_inverse_rel, rels)), s))]
 
 
-def _arcs(network: ConstraintNetwork) -> tuple[list[_Arc], dict[tuple[int, int], int]]:
-    """Two arcs per constrained pair of variables, whose constraint conjoins
-    every relation stated on the pair; a relation stated in the reverse
-    orientation of the pair's first one is read through its inverse.  Arc
-    ``2p`` revises pair p's subject from its reference, arc ``2p + 1`` the
-    reference from the subject, so ``a ^ 1`` is the reverse of arc ``a``.
-    Each is ``(revised, source, support)``.  Also returns each pair's
-    ``(subject, reference)`` mapped to its arc ``2p``."""
-    index = {name: i for i, name in enumerate(network.variables)}
-    rels_of: dict[tuple[int, int], list[Relation]] = {}
-    for c in network.binary:
-        key, rel = _pair_key(rels_of, index[c.subject], c.rel, index[c.reference])
-        rels_of.setdefault(key, []).append(rel)
-    arcs: list[_Arc] = []
-    pairs: dict[tuple[int, int], int] = {}
-    for key, rels in rels_of.items():
-        pairs[key] = len(arcs)
-        arcs += _arc_pair(key, tuple(rels), network.s)
-    return arcs, pairs
-
-
 def _supported(support: _Support, domain: int, full: int) -> int:
     """Cells of the revised variable with a partner in ``domain``."""
     if domain == full:
@@ -301,9 +283,10 @@ def _arc_consistent(
     cell left has a partner in each neighbour's domain; False when a domain
     empties.  A narrowed variable requeues the arcs it is the source of,
     except the reverse of the arc that narrowed it, whose support cannot
-    have changed.  Queueing every arc gives the fixpoint of ``live``;
-    queueing only the arcs of constraints added to a fixpoint gives the
-    same result, because an added constraint can only shrink domains."""
+    have changed.  Queueing only the arcs of constraints added to a
+    fixpoint gives the fixpoint of the whole network, because an added
+    constraint can only shrink domains; from unary filtering every arc is
+    added.  The fixpoint does not depend on the queue's order."""
     queued = bytearray(len(arcs))
     for a in queue:
         queued[a] = 1
@@ -324,78 +307,91 @@ def _arc_consistent(
 
 
 class Fixpoint(NamedTuple):
-    """A network after unary filtering and arc consistency: the start of
-    every :func:`solve` of it or of a network that adds binary constraints
-    to it.  Built per story by the caller that probes it; nothing keeps it."""
+    """A network after unary filtering and arc consistency over its first
+    ``held`` binary constraints: the start of every :func:`solve` of it or
+    of a network that adds binary constraints to it.  Built per story by
+    the caller that probes it; nothing keeps it."""
 
     network: ConstraintNetwork
+    held: int                            # how many leading binary constraints are propagated
     live: list[int]                      # domains at the fixpoint
     consistent: bool                     # False when a domain emptied
-    arcs: list[_Arc]                     # as :func:`_arcs` builds them,
+    arcs: list[_Arc]                     # as :func:`_extend` builds them,
     pairs: dict[tuple[int, int], int]    # with each pair's first arc
     watchers: list[list[int]]            # per variable, the arcs whose source it is
     elapsed: float                       # seconds of the arc-consistency pass
 
 
-def arc_fixpoint(network: ConstraintNetwork) -> Fixpoint:
-    """Filter each domain by its unary constraints, then run AC-3 over every
-    arc of ``network``; table construction is not timed."""
+def _unary_start(network: ConstraintNetwork) -> Fixpoint:
+    """``network`` with only its unary constraints applied: no arcs yet."""
     live = _live_masks(network)
-    arcs, pairs = _arcs(network)
-    watchers: list[list[int]] = [[] for _ in network.variables]
-    for a, (_, y, _) in enumerate(arcs):
-        watchers[y].append(a)
-    start = time.perf_counter()
-    consistent = all(live) and _arc_consistent(
-        live, arcs, watchers, (1 << network.d) - 1, deque(range(len(arcs)))
+    return Fixpoint(network, 0, live, all(live), [], {}, [[] for _ in network.variables], 0.0)
+
+
+def _extends(start: Fixpoint, network: ConstraintNetwork) -> bool:
+    """Does ``network`` state everything ``start`` holds, adding only
+    binary constraints after those?"""
+    base, k = start.network, start.held
+    return (
+        network.variables == base.variables
+        and network.unary == base.unary
+        and network.s == base.s
+        and network.binary[:k] == base.binary[:k]
     )
-    elapsed = time.perf_counter() - start
-    return Fixpoint(network, live, consistent, arcs, pairs, watchers, elapsed)
 
 
-def _with_added(
-    base: Fixpoint, added: tuple[Binary, ...]
-) -> tuple[list[_Arc], list[list[int]], deque[int]]:
-    """The arcs and watchers of ``base.network`` plus the constraints
-    ``added``, and the arcs those touch.  A constraint on a pair ``base``
-    already constrains, in either orientation, is conjoined into the pair's
-    two arcs; one on a new pair appends two arcs.  Either way the arcs are
-    those :func:`_arcs` builds for the whole network."""
-    if not added:
-        return base.arcs, base.watchers, deque()
-    variables = base.network.variables
-    s = base.network.s
-    arcs = list(base.arcs)
-    watchers = list(base.watchers)
-    pairs = dict(base.pairs)
-    touched: deque[int] = deque()
-    for c in added:
-        key, rel = _pair_key(pairs, variables.index(c.subject), c.rel, variables.index(c.reference))
-        a = pairs.get(key)
-        if a is None:
+def _extend(start: Fixpoint, network: ConstraintNetwork) -> Fixpoint:
+    """The fixpoint of ``network``, reached from ``start`` by folding in the
+    binary constraints ``start`` does not hold yet and propagating only the
+    arcs they touch; table construction is not timed.
+
+    Each constrained pair of variables carries two arcs, whose constraint
+    conjoins every relation stated on the pair; a relation stated in the
+    reverse orientation of the pair's first one is read through its
+    inverse.  Arc ``2p`` revises pair p's subject from its reference, arc
+    ``2p + 1`` the reference from the subject, so ``a ^ 1`` is the reverse
+    of arc ``a``.  Each is ``(revised, source, support)``.  An added
+    constraint on a pair ``start`` already constrains is conjoined into the
+    pair's two arcs; one on a new pair appends two arcs."""
+    if not _extends(start, network):
+        raise ValueError("base is not the fixpoint of a network this one extends")
+    variables = network.variables
+    arcs = list(start.arcs)
+    pairs = dict(start.pairs)
+    watchers = list(start.watchers)
+    rels_of: dict[tuple[int, int], tuple[Relation, ...]] = {}
+    for c in network.binary[start.held :]:
+        si, ri = variables.index(c.subject), variables.index(c.reference)
+        key, rel = _pair_key(pairs, si, c.rel, ri)
+        if key not in pairs:
             a = pairs[key] = len(arcs)
             arcs += (None, None)
             x, y = key
             watchers[y] = watchers[y] + [a]
             watchers[x] = watchers[x] + [a + 1]
-            rels = (rel,)
-        else:
-            rels = arcs[a][2].rels + (rel,)
-        arcs[a : a + 2] = _arc_pair(key, rels, s)
+            rels_of[key] = ()
+        elif key not in rels_of:
+            rels_of[key] = arcs[pairs[key]][2].rels
+        rels_of[key] += (rel,)
+    touched: deque[int] = deque()
+    for key, rels in rels_of.items():
+        a = pairs[key]
+        arcs[a : a + 2] = _arc_pair(key, rels, network.s)
         touched += (a, a + 1)
-    return arcs, watchers, touched
-
-
-def _extends(base: ConstraintNetwork, network: ConstraintNetwork) -> bool:
-    """Does ``network`` state everything ``base`` does, adding only binary
-    constraints at the end?"""
-    k = len(base.binary)
-    return (
-        network.variables == base.variables
-        and network.unary == base.unary
-        and network.s == base.s
-        and network.binary[:k] == base.binary
+    live = start.live.copy()
+    began = time.perf_counter()
+    consistent = start.consistent and _arc_consistent(
+        live, arcs, watchers, (1 << network.d) - 1, touched
     )
+    elapsed = time.perf_counter() - began
+    return Fixpoint(network, len(network.binary), live, consistent, arcs, pairs, watchers, elapsed)
+
+
+def arc_fixpoint(network: ConstraintNetwork) -> Fixpoint:
+    """Filter each domain by its unary constraints, then make every binary
+    constraint of ``network`` arc-consistent: :func:`_extend` from the
+    unary start, so every arc is propagated."""
+    return _extend(_unary_start(network), network)
 
 
 def solve(
@@ -405,15 +401,17 @@ def solve(
 ) -> SolveOutcome:
     """Search for grid assignments satisfying every constraint.
 
-    The search starts from an arc-consistent fixpoint: that of ``network``
-    itself when ``base`` is None, else ``base`` (the fixpoint of a network
-    that ``network`` extends by binary constraints only) with the added
-    constraints' arcs propagated.  A domain emptied by arc consistency
-    proves Unsat without search (0 nodes).  Backtracking search with
-    forward checking then runs on the narrowed domains; its verdict, counts
-    and first solution do not depend on whether ``base`` was given.
-    ``stats.elapsed`` covers the propagation and the search, so from a
-    ``base`` it leaves out the base's own pass.
+    The search starts from the arc-consistent fixpoint of ``network``,
+    reached from ``base`` (the fixpoint of a network that ``network``
+    extends by binary constraints only) by propagating the added
+    constraints' arcs.  Without ``base`` it is the same propagation,
+    started from unary filtering, so every constraint counts as added.  A
+    domain emptied by arc consistency proves Unsat without search (0
+    nodes).  Backtracking search with forward checking then runs on the
+    narrowed domains; its verdict, counts and first solution do not depend
+    on whether ``base`` was given.  ``stats.elapsed`` covers the
+    propagation and the search, so from a ``base`` it leaves out the
+    base's own pass.
 
     ``solution_cap`` bounds how many solutions are counted before stopping;
     ``None`` lifts the cap, producing an exact count.  The first solution
@@ -421,33 +419,23 @@ def solve(
     """
     if solution_cap is not None and solution_cap < 1:
         raise ValueError("solution_cap must be at least 1")
-    stats = SolveStats()
-    if base is None:
-        base = arc_fixpoint(network)
-        stats.elapsed = base.elapsed
-    elif not _extends(base.network, network):
-        raise ValueError("base is not the fixpoint of a network this one extends")
-    if not base.consistent:
-        return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
+    fix = _extend(base or _unary_start(network), network)
+    stats = SolveStats(elapsed=fix.elapsed)
+    if not fix.consistent:
+        return SolveOutcome(Verdict.UNSAT, 0, None, stats)
     n = len(network.variables)
     s = network.s
-    arcs, watchers, touched = _with_added(base, network.binary[len(base.network.binary) :])
+    live = fix.live
 
     start = time.perf_counter()
-    live = base.live.copy()
-    if touched and not _arc_consistent(live, arcs, watchers, (1 << network.d) - 1, touched):
-        stats.elapsed += time.perf_counter() - start
-        return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
-
     # per variable, (neighbour, the neighbour's allowed cells per cell of this one)
     adj: list[list[tuple[int, list[int]]]] = [
-        [(arcs[a][0], arcs[a][2].masks) for a in watchers[v]] for v in range(n)
+        [(fix.arcs[a][0], fix.arcs[a][2].masks) for a in fix.watchers[v]] for v in range(n)
     ]
     assigned = [-1] * n
     unassigned = set(range(n))
     found = 0
     first: list[int] | None = None
-    exhausted = True
 
     def pick_variable() -> int:
         best = -1
@@ -498,16 +486,15 @@ def solve(
         unassigned.add(v)
         return False
 
-    capped = search()
-    exhausted = not capped
+    search()
     stats.elapsed += time.perf_counter() - start
 
     if found == 0:
-        return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
+        return SolveOutcome(Verdict.UNSAT, 0, None, stats)
     first_solution = {
         network.variables[v]: GridCell(first[v] % s, first[v] // s) for v in range(n)
     }
-    return SolveOutcome(Verdict.SAT, found, exhausted, first_solution, stats)
+    return SolveOutcome(Verdict.SAT, found, first_solution, stats)
 
 
 def brute_force_solve(network: ConstraintNetwork) -> SolveOutcome:
@@ -544,14 +531,8 @@ def brute_force_solve(network: ConstraintNetwork) -> SolveOutcome:
                 first = combo
     stats.elapsed = time.perf_counter() - start
     if found == 0:
-        return SolveOutcome(Verdict.UNSAT, 0, True, None, stats)
-    return SolveOutcome(
-        Verdict.SAT,
-        found,
-        True,
-        dict(zip(network.variables, first)),
-        stats,
-    )
+        return SolveOutcome(Verdict.UNSAT, 0, None, stats)
+    return SolveOutcome(Verdict.SAT, found, dict(zip(network.variables, first)), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -146,21 +146,40 @@ class TestGradeFR:
                 res = grade_fr(inst, ParsedAnswer(direction=direction, raw=""))
                 assert (res.correct, res.flags) == reference(inst, direction)
 
-    def test_satisfiable_probe_skips_the_base_solve(self, fr_instances, monkeypatch):
+    @pytest.fixture
+    def grade_solves(self, monkeypatch):
+        """The ``(network, base)`` of every solve grading runs."""
         calls = []
 
-        def counting_solve(network, solution_cap=2):
-            calls.append(network)
-            return solve(network, solution_cap)
+        def counting_solve(network, solution_cap=2, base=None):
+            calls.append((network, base))
+            return solve(network, solution_cap, base)
 
         # the package attribute ``qsrbench.grade`` is the re-exported function
         monkeypatch.setattr(sys.modules["qsrbench.grade"], "solve", counting_solve)
+        return calls
+
+    def test_satisfiable_probe_skips_the_base_solve(self, fr_instances, grade_solves):
         inst = next(
             i for i in fr_instances
             if solve(i.network, solution_cap=1).verdict is Verdict.SAT
         )
         assert grade_fr(inst, ParsedAnswer(direction=inst.gold_direction, raw="")).correct
-        assert len(calls) == 1
+        assert len(grade_solves) == 1
+
+    def test_wrong_answer_solves_twice_from_one_fixpoint(self, fr_instances, grade_solves):
+        inst, wrong = next(
+            (i, d)
+            for i in fr_instances
+            if solve(i.network, solution_cap=1).verdict is Verdict.SAT
+            for d in Direction9
+            if d not in accepted_directions(i)
+        )
+        assert not grade_fr(inst, ParsedAnswer(direction=wrong, raw="")).correct
+        assert len(grade_solves) == 2
+        (_, probe_base), (story, story_base) = grade_solves
+        assert story is inst.network
+        assert probe_base is story_base is not None
 
     def test_accepted_directions_matches_grading(self, fr_instances, unsat_fr_instance):
         for inst in (fr_instances[0], unsat_fr_instance):

@@ -31,7 +31,7 @@ from qsrbench.network import Binary, ConstraintNetwork, Unary
 from qsrbench.solver import (
     InstanceTooLarge,
     Verdict,
-    _arcs,
+    _extend,
     _live_masks,
     _support,
     _unary_mask,
@@ -127,7 +127,7 @@ def test_pair_constraint_masks_are_the_conjunction(s):
         for c in binary:
             table = _holds(c.rel, s)
             holds &= table if c.subject == "a" else table.T
-        arcs, _ = _arcs(net(["a", "b"], binary=binary, s=s))
+        arcs = arc_fixpoint(net(["a", "b"], binary=binary, s=s)).arcs
         assert [(x, y) for x, y, _ in arcs] == [(0, 1), (1, 0)]
         assert arcs[0][2].masks == _column_masks(holds)
         assert arcs[1][2].masks == _column_masks(holds.T)
@@ -162,7 +162,6 @@ def test_single_direction_constraint_count_s3():
     assert out.verdict is Verdict.SAT
     # E fixes the row and strictly orders the columns: 3 rows x 3 column pairs
     assert out.n_solutions == 9
-    assert out.exhausted
 
 
 def test_overlap_constraint_count_s3():
@@ -219,7 +218,6 @@ def test_solution_cap_stops_early():
     out = solve(n, solution_cap=2)
     assert out.verdict is Verdict.SAT
     assert out.n_solutions == 2
-    assert not out.exhausted
 
 
 def test_first_solution_is_deterministic():
@@ -375,7 +373,6 @@ def _outcome(out):
     return (
         out.verdict,
         out.n_solutions,
-        out.exhausted,
         out.first_solution,
         out.stats.nodes,
         out.stats.backtracks,
@@ -409,6 +406,35 @@ def test_probe_from_fixpoint_matches_fresh_network(setting, d, n, m, count, caps
         for direction in DIRECTION_ORDER:
             extra = Binary(inst.query.subject, direction, inst.query.reference)
             _assert_probe_matches_fresh(inst.network, extra, caps)
+
+
+@pytest.mark.parametrize(
+    "d, n, m, count, caps", [(9, 4, 3, 6, (1, 2, None)), (144, 5, 4, 2, (1, 2))],
+    ids=["d9", "d144"],
+)
+@pytest.mark.parametrize("setting", list(Setting), ids=lambda s: s.value)
+def test_fixpoint_of_every_prefix_matches_fresh_network(setting, d, n, m, count, caps):
+    # several constraints added at once: at k = 0 every pair is new, and
+    # with distances each new pair takes a direction and a band in one call
+    config = GenConfig(
+        n=n, d=d, m=m, setting=setting, view=ViewFrame.TOP_DOWN, qtype=QType.FR
+    )
+    for inst in generate_dataset(0, count, config).instances:
+        network = inst.network
+        fresh = arc_fixpoint(network)
+        for k in range(len(network.binary) + 1):
+            prefix = arc_fixpoint(
+                net(network.variables, network.unary, network.binary[:k], network.s)
+            )
+            extended = _extend(prefix, network)
+            assert extended.consistent == fresh.consistent
+            # AC-3 stops at the first emptied domain, so only a consistent
+            # fixpoint's domains are defined
+            assert not fresh.consistent or extended.live == fresh.live
+            for cap in caps:
+                assert _outcome(solve(network, cap, base=prefix)) == _outcome(
+                    solve(network, cap)
+                ), (k, cap)
 
 
 def test_probe_from_unsatisfiable_fixpoint():
