@@ -187,12 +187,17 @@ def _cmd_grade(args) -> int:
     for m in metrics:
         print(f"  {m.group}: {m.correct}/{m.total}")
     if args.out:
-        if args.out.endswith(".csv"):
-            Path(args.out).write_text(metrics_to_csv(metrics), encoding="utf-8")
-        else:
-            write_json(args.out, metrics_to_json(metrics))
-        print(f"metrics written to {args.out}")
+        _write_metrics(args.out, metrics)
     return 0
+
+
+def _write_metrics(path: str, metrics) -> None:
+    """Write metrics as CSV to a ``.csv`` path, else as JSON."""
+    if path.endswith(".csv"):
+        Path(path).write_text(metrics_to_csv(metrics), encoding="utf-8")
+    else:
+        write_json(path, metrics_to_json(metrics))
+    print(f"metrics written to {path}")
 
 
 def _cmd_eval(args) -> int:
@@ -231,11 +236,7 @@ def _cmd_eval(args) -> int:
     print(f"wrote {len(run.records)} records to {args.out} ({len(errors)} errors)")
     print(f"accuracy: {run.accuracy:.3f}")
     if args.metrics:
-        if args.metrics.endswith(".csv"):
-            Path(args.metrics).write_text(metrics_to_csv(run.metrics), encoding="utf-8")
-        else:
-            write_json(args.metrics, metrics_to_json(run.metrics))
-        print(f"metrics written to {args.metrics}")
+        _write_metrics(args.metrics, run.metrics)
     if args.manifest:
         write_json(args.manifest, run.manifest)
         print(f"manifest written to {args.manifest}")
@@ -243,8 +244,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
+    table = tightness_table(args.d)  # a bad grid size fails before any output
     print(f"{'constraint':>10s} {'analytic':>10s} {'empirical':>10s} {'abs error':>10s}")
-    for report in tightness_table(args.d):
+    for report in table:
         print(
             f"{report.kind:>10s} {float(report.analytic):10.4f} "
             f"{float(report.empirical):10.4f} {report.abs_error:10.4f}"

@@ -14,6 +14,10 @@ Build-time verification keeps the benchmark sound on the grid:
 * free-response instances whose base network is satisfiable are kept only
   when the continuous ground-truth direction survives discretization.
 
+Each draw builds its story's arc-consistent fixpoint once.  Every solve of
+the draw starts from it, the one that decides whether the story is
+satisfiable included, so no story is solved twice.
+
 When a draw fails verification, the object/pair selection is redrawn from
 the same room; the Yes/No branch choice is made before any redraw so label
 balance stays an even coin.
@@ -37,11 +41,9 @@ from .calculus import (
 from .network import Binary, ConstraintNetwork, Unary
 from .scene import (
     ROOM_TYPES,
-    Catalog,
     RoomScene,
     SceneObject,
     UnaryMode,
-    default_catalog,
     extract_binary,
     extract_unary,
     sample_scene,
@@ -187,13 +189,13 @@ RESAMPLE_BUDGET = 64
 
 def build_network(
     scene: RoomScene, config: GenConfig, rng: random.Random
-) -> tuple[ConstraintNetwork, QuerySpec, Direction9]:
+) -> tuple[ConstraintNetwork, QuerySpec, Direction9, bool]:
     """Select objects, extract constraints and fix the query for one instance.
 
-    Returns the verified network, the query spec and the continuous
-    ground-truth direction of the query pair.  Draws are repeated (objects,
-    pairs and query included) until verification passes; the yes/no branch
-    is chosen once up front.
+    Returns the verified network, the query spec, the continuous
+    ground-truth direction of the query pair and whether the story is
+    satisfiable.  Draws are repeated (objects, pairs and query included)
+    until verification passes; the yes/no branch is chosen once up front.
     """
     want_yes: bool | None = None
     if config.qtype is QType.YN:
@@ -214,7 +216,7 @@ def _attempt_build(
     config: GenConfig,
     rng: random.Random,
     want_yes: bool | None,
-) -> tuple[ConstraintNetwork, QuerySpec, Direction9] | str:
+) -> tuple[ConstraintNetwork, QuerySpec, Direction9, bool] | str:
     objects = select_objects(scene, config.n, rng)
     qa, qb = rng.sample(range(config.n), 2)
     pairs = select_constraints(objects, (qa, qb), config.m, rng)
@@ -245,29 +247,31 @@ def _attempt_build(
     # every solve below starts from the story's one arc-consistent fixpoint
     story = arc_fixpoint(network)
 
+    def admits(direction: Direction9) -> bool:
+        probe = network.extended(Binary(subject.name, direction, reference.name))
+        return solve(probe, solution_cap=1, base=story).verdict is Verdict.SAT
+
     if config.qtype is QType.FR:
-        base_sat = solve(network, solution_cap=1, base=story).verdict is Verdict.SAT
-        if base_sat:
-            with_gold = network.extended(Binary(subject.name, gold, reference.name))
-            if solve(with_gold, solution_cap=1, base=story).verdict is Verdict.UNSAT:
-                return "gold-direction-infeasible"
+        story_sat = solve(network, solution_cap=1, base=story).verdict is Verdict.SAT
+        if story_sat and not admits(gold):
+            return "gold-direction-infeasible"
         query = QuerySpec(subject.name, reference.name, QType.FR)
-        return network, query, gold
+        return network, query, gold, story_sat
 
     if want_yes:
-        with_gold = network.extended(Binary(subject.name, gold, reference.name))
-        if solve(with_gold, solution_cap=1, base=story).verdict is Verdict.UNSAT:
+        if not admits(gold):
             return "yes-candidate-inconsistent"
+        # a solution of the gold probe is a solution of the story
         query = QuerySpec(subject.name, reference.name, QType.YN, gold, "Yes")
-        return network, query, gold
+        return network, query, gold, True
 
     order = list(DIRECTION_ORDER)
     rng.shuffle(order)
     for candidate in order:
-        probe = network.extended(Binary(subject.name, candidate, reference.name))
-        if solve(probe, solution_cap=1, base=story).verdict is Verdict.UNSAT:
+        if not admits(candidate):
             query = QuerySpec(subject.name, reference.name, QType.YN, candidate, "No")
-            return network, query, gold
+            story_sat = solve(network, solution_cap=1, base=story).verdict is Verdict.SAT
+            return network, query, gold, story_sat
     return "no-infeasible-direction"
 
 
@@ -276,15 +280,14 @@ def build_instance(
     index: int,
     config: GenConfig,
     room_type: str,
-    catalog: Catalog | None = None,
     lexicon: Lexicon | None = None,
-) -> BenchmarkInstance:
-    catalog = catalog or default_catalog()
+) -> tuple[BenchmarkInstance, bool]:
+    """Build instance ``index`` and say whether its story is satisfiable."""
     lexicon = lexicon or default_lexicon()
     scene_seed = derive_seed(master_seed, index, "scene")
-    scene = sample_scene(scene_seed, room_type, config.w, catalog, room_id=index)
+    scene = sample_scene(scene_seed, room_type, config.w, room_id=index)
     rng = random.Random(derive_seed(master_seed, index, "net"))
-    network, query, gold = build_network(scene, config, rng)
+    network, query, gold, story_sat = build_network(scene, config, rng)
     story = render_story(network, config.view, lexicon)
     question = render_question(query, config.view, lexicon)
     coords = {
@@ -303,7 +306,7 @@ def build_instance(
         question=question,
         gold_coords=coords,
         gold_direction=gold,
-    )
+    ), story_sat
 
 
 @dataclass
@@ -323,26 +326,22 @@ def generate_dataset(
     master_seed: int,
     count: int,
     config: GenConfig,
-    room_types: tuple[str, ...] = ROOM_TYPES,
-    catalog: Catalog | None = None,
     lexicon: Lexicon | None = None,
 ) -> DatasetBuild:
     """Build ``count`` instances, cycling room types, with summary counters."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    if not room_types:
-        raise ValueError("need at least one room type")
     build = DatasetBuild(instances=[])
     for i in range(count):
-        inst = build_instance(
-            master_seed, i, config, room_types[i % len(room_types)], catalog, lexicon
+        inst, story_sat = build_instance(
+            master_seed, i, config, ROOM_TYPES[i % len(ROOM_TYPES)], lexicon
         )
         build.instances.append(inst)
         if inst.query.label == "Yes":
             build.yes_count += 1
         elif inst.query.label == "No":
             build.no_count += 1
-        if solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT:
+        if not story_sat:
             build.unsat_base_count += 1
     return build
 

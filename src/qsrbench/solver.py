@@ -83,8 +83,8 @@ class SolveOutcome:
     stats: SolveStats
 
 
-class InstanceTooLarge(Exception):
-    """Raised when the brute-force oracle would enumerate too many states."""
+class InstanceTooLarge(ValueError):
+    """Raised when an exhaustive count would enumerate too many states."""
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +608,14 @@ def _square_distance_cdf(t: float) -> float:
     )
 
 
+def _grid_side(d: int) -> int:
+    """Side of a ``d``-cell grid: a multiple of 3, at least 3."""
+    s = math.isqrt(max(d, 0))
+    if s < 3 or s * s != d or s % 3 != 0:
+        raise ValueError(f"d must be a square with side divisible by 3 and at least 3, not {d}")
+    return s
+
+
 def analytic_tightness(kind: str, d: int) -> Fraction | float:
     """Closed-form fraction of disallowed cells (unary) or cell pairs (binary).
 
@@ -617,9 +625,7 @@ def analytic_tightness(kind: str, d: int) -> Fraction | float:
     over wall-clipped placements of the central object, which keeps the
     estimate inside [0, 1] on every grid.
     """
-    s = math.isqrt(d)
-    if s * s != d or s % 3 != 0:
-        raise ValueError("d must be a square with side divisible by 3")
+    s = _grid_side(d)
     if kind == "InR":
         return Fraction(0)
     if kind in {r.value for r in Region9}:
@@ -656,11 +662,9 @@ def empirical_tightness(kind: str, d: int) -> Fraction:
     Counts the solver's own grid tables: unary kinds from the cell masks,
     binary kinds from the partner windows of the relation's offset table.
     """
-    s = math.isqrt(d)
-    if s * s != d or s % 3 != 0:
-        raise ValueError("d must be a square with side divisible by 3")
+    s = _grid_side(d)
     if d > 20736:
-        raise InstanceTooLarge("empirical tightness guard: d too large")
+        raise InstanceTooLarge(f"d={d} is too large to count exhaustively (at most 20736)")
     if kind == "InR":
         return Fraction(0)
     rel = relation_from_token(kind)

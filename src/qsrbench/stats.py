@@ -7,9 +7,10 @@ generates instances, probes all nine candidate directions for the query
 pair, and aggregates the outcome mix (no / single / multiple feasible
 answers) together with search-effort numbers.
 
-Each room's network is solved by the generator, once per candidate
-direction (the nine probes, which give the outcome mix) and three more
-times by :func:`time_cells` (the timed base solves).  Effort is reported
+Each room's story is solved by the generator (its fixpoint, base solve and,
+when the story is Sat, gold probe), by :func:`probe_directions` (nine
+probes, which give the outcome mix) and three more times by
+:func:`time_cells` (the timed base solves).  Effort is reported
 three ways per cell: the base solve's nodes and backtracks; the cost of
 probing all nine directions (what a find-relation grader pays); and the
 cost of the single gold-direction probe (what a yes/no check pays on the

@@ -161,6 +161,20 @@ def _join_items(items: list[str]) -> str:
 # rendering
 
 
+def _directed(lex: Lexicon, kind: str, view: ViewFrame, subject: str, rel: Direction9, reference: str) -> str:
+    """Fill the ``pair`` or ``question_yn`` template the view and relation
+    call for: north-facing, top-down overlap (which names no direction) or
+    top-down."""
+    if view is ViewFrame.NORTH_FACING:
+        variant = "north_facing"
+    elif rel is Direction9.O:
+        variant = "top_down_overlap"
+    else:
+        variant = "top_down"
+    phrase = lex.direction_phrase(rel, view)
+    return lex.templates[f"{kind}_{variant}"].format(subject=subject, direction=phrase, reference=reference)
+
+
 def render_story(network: ConstraintNetwork, view: ViewFrame, lexicon: Lexicon | None = None) -> str:
     """Render every constraint of the network into text, opener first.
 
@@ -198,18 +212,7 @@ def render_story(network: ConstraintNetwork, view: ViewFrame, lexicon: Lexicon |
     for (subject, reference), facts in pairs.items():
         if "direction" not in facts:
             raise ValueError(f"pair {(subject, reference)} has a distance band but no direction")
-        direction = facts["direction"].rel
-        phrase = lex.direction_phrase(direction, view)
-        if north_facing:
-            body = t["pair_north_facing"].format(
-                subject=subject, direction=phrase, reference=reference
-            )
-        elif direction is Direction9.O:
-            body = t["pair_top_down_overlap"].format(subject=subject, reference=reference)
-        else:
-            body = t["pair_top_down"].format(
-                subject=subject, direction=phrase, reference=reference
-            )
+        body = _directed(lex, "pair", view, subject, facts["direction"].rel, reference)
         if "distance" in facts:
             body += t["distance_suffix"].format(distance=lex.distances[facts["distance"].rel])
 
@@ -235,19 +238,7 @@ def render_question(
     if query.qtype.value == "YN":
         if query.candidate is None:
             raise ValueError("yes/no query without a candidate relation")
-        phrase = lex.direction_phrase(query.candidate, view)
-        if north_facing:
-            body = t["question_yn_north_facing"].format(
-                subject=query.subject, direction=phrase, reference=query.reference
-            )
-        elif query.candidate is Direction9.O:
-            body = t["question_yn_top_down_overlap"].format(
-                subject=query.subject, reference=query.reference
-            )
-        else:
-            body = t["question_yn_top_down"].format(
-                subject=query.subject, direction=phrase, reference=query.reference
-            )
+        body = _directed(lex, "question_yn", view, query.subject, query.candidate, query.reference)
     else:
         options = ", ".join(lex.direction_phrase(d, view) for d in DIRECTION_ORDER)
         body = t["question_fr"].format(

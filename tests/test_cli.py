@@ -77,16 +77,19 @@ class TestGenerate:
         assert err.value.code == 1
 
     @pytest.mark.parametrize(
-        "setting, qtype, sha256",
+        "setting, qtype, sha256, unsat",
         [
-            # the YN No and Yes branches, no unary constraints
-            ("O2+D2", "YN", "efa44f6183faf5df65d9a75a50ac5ad82f74e5974a9177abbd1d3f3669d10a79"),
-            # the FR base solve and gold probe, with region unaries
-            ("O2+D3+Layout", "FR", "8c07f711fbffb3595f401bc9b5ed006ec6dac0201b4ea1fa9541818772664a29"),
-            ("TPP", "FR", "07e63f094a987597e247324ffcb74c13ad0cf1d0bd48e63286e45a6fe3f0ffc8"),
+            pytest.param(setting, qtype, sha256, unsat, id=f"{setting}-{qtype}-{sha256}")
+            for setting, qtype, sha256, unsat in [
+                # the YN No and Yes branches, no unary constraints
+                ("O2+D2", "YN", "efa44f6183faf5df65d9a75a50ac5ad82f74e5974a9177abbd1d3f3669d10a79", 0),
+                # the FR base solve and gold probe, with region unaries
+                ("O2+D3+Layout", "FR", "8c07f711fbffb3595f401bc9b5ed006ec6dac0201b4ea1fa9541818772664a29", 7),
+                ("TPP", "FR", "07e63f094a987597e247324ffcb74c13ad0cf1d0bd48e63286e45a6fe3f0ffc8", 6),
+            ]
         ],
     )
-    def test_pinned_dataset_bytes(self, tmp_path, setting, qtype, sha256):
+    def test_pinned_dataset_bytes(self, tmp_path, capsys, setting, qtype, sha256, unsat):
         # a solver or generator change that keeps datasets byte-identical
         # must keep these; a deliberate change re-pins them
         args = [
@@ -95,6 +98,7 @@ class TestGenerate:
         ]
         out = run_generate(tmp_path, args=args)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        assert f"unsatisfiable stories: {unsat}\n" in capsys.readouterr().out
 
 
 class TestStats:
@@ -297,6 +301,14 @@ class TestTightness:
         lines = printed.strip().splitlines()
         assert len(lines) == 1 + len(TIGHTNESS_KINDS)
         assert lines[0].split() == ["constraint", "analytic", "empirical", "abs", "error"]
+
+    @pytest.mark.parametrize("d", ["0", "-9", "22500"])
+    def test_bad_grid_size_is_usage_error(self, capsys, d):
+        # 22500 is a valid grid, too large for the exhaustive count
+        assert main(["tightness", "--d", d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qsrbench: error:")
 
 
 class TestConsoleScript:

@@ -156,7 +156,7 @@ class TestDeterminism:
     def test_instance_independent_of_batch(self):
         cfg = make_config()
         batch = generate_dataset(master_seed=3, count=6, config=cfg)
-        solo = build_instance(3, 5, cfg, batch.instances[5].room_type)
+        solo, _ = build_instance(3, 5, cfg, batch.instances[5].room_type)
         assert solo == batch.instances[5]
 
 
@@ -268,15 +268,28 @@ class TestAnswerGuarantees:
                 )
                 assert solve(probe, solution_cap=1).verdict is Verdict.SAT
 
-    def test_fr_counts_unsat_bases(self):
-        cfg = make_config(n=6, m=5, d=81, setting=Setting.O2_D3, qtype=QType.FR)
+    @pytest.mark.parametrize(
+        "setting, n, m, qtype",
+        [
+            (Setting.O2_D3, 6, 5, QType.FR),
+            # both Unsat stories are labelled No, so a No draw must be searched
+            (Setting.TPP, 5, 4, QType.YN),
+        ],
+        ids=["FR-O2+D3", "YN-TPP"],
+    )
+    def test_counts_unsat_bases(self, setting, n, m, qtype):
+        cfg = make_config(n=n, m=m, d=81, setting=setting, qtype=qtype)
         build = generate_dataset(master_seed=41, count=30, config=cfg)
-        recomputed = sum(
-            solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT
-            for inst in build.instances
-        )
-        assert build.unsat_base_count == recomputed
-        assert build.yes_fraction is None
+        unsat = [
+            inst for inst in build.instances
+            if solve(inst.network, solution_cap=1).verdict is Verdict.UNSAT
+        ]
+        assert len(unsat) == 2
+        assert build.unsat_base_count == len(unsat)
+        if qtype is QType.FR:
+            assert build.yes_fraction is None
+        else:
+            assert {inst.query.label for inst in unsat} == {"No"}
 
 
 class TestGenerationFailure:
@@ -296,5 +309,3 @@ class TestGenerationFailure:
         cfg = make_config()
         with pytest.raises(ValueError):
             generate_dataset(master_seed=0, count=-1, config=cfg)
-        with pytest.raises(ValueError):
-            generate_dataset(master_seed=0, count=1, config=cfg, room_types=())

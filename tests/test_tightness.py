@@ -68,5 +68,8 @@ def test_table_covers_all_kinds():
 
 
 def test_rejects_non_square_d():
-    with pytest.raises(ValueError):
-        analytic_tightness("E", 80)
+    # side 0 passes a divisibility test alone, and -9 has no integer square root
+    for d in (80, 0, -9):
+        for tightness in (analytic_tightness, empirical_tightness):
+            with pytest.raises(ValueError):
+                tightness("E", d)
